@@ -99,12 +99,15 @@ case "${sanitize}" in
     ;;
   obs)
     # The metrics hot path is relaxed atomics shared across worker
-    # threads; run every test that exercises it under TSan, then hold the
-    # instrumentation to its overhead budget with the asserting bench.
+    # threads (per-thread cells, including the EIS and corridor cache
+    # stats); run every test that exercises it under TSan — plus the
+    # estimator / CkNN-EC / query-pipeline suites whose per-candidate warm
+    # path feeds those counters — then hold the instrumentation to its
+    # overhead budget with the asserting bench.
     shift
     sanitize="thread"
     obs_gate=1
-    set -- -R 'Metrics|Statsz|TtlCache|BoundedQueue|OfferingServer|InformationServer|QueryContext|Continuous' "$@"
+    set -- -R 'Metrics|Statsz|TtlCache|BoundedQueue|OfferingServer|InformationServer|QueryContext|Continuous|EcoChargeTest|CknnProcessor|CknnSweep|CrossIndexParity|IntegrationTest|Corridor' "$@"
     ;;
   fault)
     # The resilience stack (fault injector, retry state, breakers, stale

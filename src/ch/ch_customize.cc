@@ -891,6 +891,7 @@ std::shared_ptr<const ChCustomization> ChCustomizationCache::Get(
 size_t ChCustomizationCache::size() const { return SnapshotTable()->size(); }
 
 void ChCustomizationCache::AttachMetrics(obs::MetricsRegistry* registry) {
+  metrics_ = registry;
   if (registry == nullptr) {
     hits_mirror_ = nullptr;
     misses_mirror_ = nullptr;
@@ -905,6 +906,11 @@ void ChCustomizationCache::AttachMetrics(obs::MetricsRegistry* registry) {
   incremental_mirror_ =
       registry->GetCounter("ch.customize_incremental", "sweeps");
   customize_ns_ = registry->GetHistogram("ch.customize_ns", "ns");
+}
+
+void ChCustomizationCache::DetachMetrics(
+    const obs::MetricsRegistry* registry) {
+  if (registry != nullptr && registry == metrics_) AttachMetrics(nullptr);
 }
 
 }  // namespace ecocharge

@@ -241,6 +241,11 @@ class ChCustomizationCache {
   /// before traffic starts.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
+  /// Detaches the mirrors if — and only if — they point into `registry`:
+  /// the teardown of a registry's owner, which must not cut off a later
+  /// owner that attached its own registry since.
+  void DetachMetrics(const obs::MetricsRegistry* registry);
+
  private:
   struct Entry {
     uint64_t digest;
@@ -272,6 +277,7 @@ class ChCustomizationCache {
   std::atomic<uint64_t> builds_{0};
   std::atomic<uint64_t> incremental_{0};
 
+  const obs::MetricsRegistry* metrics_ = nullptr;  ///< attached registry
   obs::Counter* hits_mirror_ = nullptr;
   obs::Counter* misses_mirror_ = nullptr;
   obs::Counter* builds_mirror_ = nullptr;

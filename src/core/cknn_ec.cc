@@ -198,6 +198,14 @@ std::vector<ChargerId> CknnEcProcessor::FilterCandidates(
 const std::vector<ScoredCandidate>& CknnEcProcessor::ScoreCandidates(
     const VehicleState& state, const std::vector<ChargerId>& candidate_ids,
     const ScoreWeights& weights, QueryContext* ctx) {
+  return ScoreCandidates(state, candidate_ids, weights,
+                         estimator_->FetchTraffic(state.time), ctx);
+}
+
+const std::vector<ScoredCandidate>& CknnEcProcessor::ScoreCandidates(
+    const VehicleState& state, const std::vector<ChargerId>& candidate_ids,
+    const ScoreWeights& weights, const TrafficFetch& traffic,
+    QueryContext* ctx) {
   obs::ScopedTimer timer(metrics_.score_ns);
   const std::vector<EvCharger>& fleet = estimator_->fleet();
   std::vector<ScoredCandidate>& scored = ctx->scored;
@@ -213,7 +221,7 @@ const std::vector<ScoredCandidate>& CknnEcProcessor::ScoreCandidates(
       if (id >= fleet.size()) continue;
       ScoredCandidate c;
       c.charger_id = id;
-      c.ecs = estimator_->EstimateIntervals(state, fleet[id],
+      c.ecs = estimator_->EstimateIntervals(state, fleet[id], traffic,
                                             options_.derouting_norm_m);
       lanes.level_lo.push_back(c.ecs.level.lo);
       lanes.level_hi.push_back(c.ecs.level.hi);
@@ -244,7 +252,7 @@ const std::vector<ScoredCandidate>& CknnEcProcessor::ScoreCandidates(
       if (id >= fleet.size()) continue;
       ScoredCandidate c;
       c.charger_id = id;
-      c.ecs = estimator_->EstimateIntervals(state, fleet[id],
+      c.ecs = estimator_->EstimateIntervals(state, fleet[id], traffic,
                                             options_.derouting_norm_m);
       c.score = ComputeScorePair(c.ecs, weights);
       scored.push_back(c);
@@ -268,6 +276,7 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
                                     const std::vector<ScoredCandidate>* scored,
                                     size_t k, const ScoreWeights& weights,
                                     bool refine_exact_derouting,
+                                    const TrafficFetch* traffic,
                                     QueryContext* ctx,
                                     std::vector<OfferingEntry>* out) {
   obs::ScopedTimer timer(metrics_.refine_ns);
@@ -310,6 +319,11 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
       options_.landmark_refine_order) {
     OrderByDeroutingBound(state, ctx);
   }
+  TrafficFetch fetched;
+  if (refine_count > 0 && traffic == nullptr) {
+    fetched = estimator_->FetchTraffic(state.time);
+    traffic = &fetched;
+  }
 
   if (refine_count > 0 && options_.batch_derouting) {
     // Batched refinement: one forward sweep covers every outbound leg, one
@@ -335,6 +349,7 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
     for (size_t i = 0; i < refine_count; ++i) {
       ScoredCandidate& c = selected[i];
       c.ecs = estimator_->EstimateIntervals(state, fleet[c.charger_id],
+                                            *traffic,
                                             options_.derouting_norm_m);
       estimator_->ApplyExactDerouting(scratch.estimates[i],
                                       options_.derouting_norm_m, &c.ecs);
@@ -345,7 +360,7 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
     for (size_t i = 0; i < refine_count; ++i) {
       ScoredCandidate& c = selected[i];
       c.ecs = estimator_->EstimateWithExactDerouting(
-          state, fleet[c.charger_id], options_.derouting_norm_m);
+          state, fleet[c.charger_id], *traffic, options_.derouting_norm_m);
       c.score = ComputeScorePair(c.ecs, weights);
       if (metrics_.exact_refinements) metrics_.exact_refinements->Add();
     }
@@ -455,12 +470,13 @@ std::vector<OfferingEntry> CknnEcProcessor::RefineAndRank(
 void CknnEcProcessor::Query(const VehicleState& state, size_t k,
                             const ScoreWeights& weights, QueryContext* ctx,
                             std::vector<OfferingEntry>* out) {
+  const TrafficFetch traffic = estimator_->FetchTraffic(state.time);
   const std::vector<ChargerId>& candidates =
       FilterCandidates(state.position, ctx);
   const std::vector<ScoredCandidate>& scored =
-      ScoreCandidates(state, candidates, weights, ctx);
+      ScoreCandidates(state, candidates, weights, traffic, ctx);
   RefineAndRank(state, &scored, k, weights, options_.refine_exact_derouting,
-                ctx, out);
+                &traffic, ctx, out);
 }
 
 std::vector<OfferingEntry> CknnEcProcessor::Query(const VehicleState& state,

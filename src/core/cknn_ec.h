@@ -140,7 +140,14 @@ class CknnEcProcessor {
 
   /// Scores `candidate_ids` with estimated interval ECs into
   /// `ctx->scored`; the returned reference aliases it. `candidate_ids`
-  /// may alias `ctx->candidates`.
+  /// may alias `ctx->candidates`. Every candidate is priced under
+  /// `traffic`, the ranking's one traffic band (EcEstimator::FetchTraffic).
+  const std::vector<ScoredCandidate>& ScoreCandidates(
+      const VehicleState& state, const std::vector<ChargerId>& candidate_ids,
+      const ScoreWeights& weights, const TrafficFetch& traffic,
+      QueryContext* ctx);
+
+  /// Same, fetching the ranking's traffic band itself.
   const std::vector<ScoredCandidate>& ScoreCandidates(
       const VehicleState& state, const std::vector<ChargerId>& candidate_ids,
       const ScoreWeights& weights, QueryContext* ctx);
@@ -165,11 +172,23 @@ class CknnEcProcessor {
   /// `refine_exact_derouting` toggles the network-exact refinement for
   /// this call — the Dynamic-Caching hit path passes false to keep the
   /// adaptation cheap. `*scored` itself is left unmodified; winners are
-  /// copied through `ctx->selected` into `*out`.
+  /// copied through `ctx->selected` into `*out`. The refined candidates
+  /// are re-estimated under `*traffic`, the band the pool was scored
+  /// under; null fetches it here, once, and only if the refine step runs.
   void RefineAndRank(const VehicleState& state,
                      const std::vector<ScoredCandidate>* scored, size_t k,
                      const ScoreWeights& weights, bool refine_exact_derouting,
-                     QueryContext* ctx, std::vector<OfferingEntry>* out);
+                     const TrafficFetch* traffic, QueryContext* ctx,
+                     std::vector<OfferingEntry>* out);
+
+  /// Same with `traffic` = null.
+  void RefineAndRank(const VehicleState& state,
+                     const std::vector<ScoredCandidate>* scored, size_t k,
+                     const ScoreWeights& weights, bool refine_exact_derouting,
+                     QueryContext* ctx, std::vector<OfferingEntry>* out) {
+    RefineAndRank(state, scored, k, weights, refine_exact_derouting, nullptr,
+                  ctx, out);
+  }
 
   /// Allocating convenience form using the options' refinement setting.
   std::vector<OfferingEntry> RefineAndRank(

@@ -97,14 +97,20 @@ DeroutingQuery EcEstimator::MakeQuery(const VehicleState& state) const {
   return q;
 }
 
+TrafficFetch EcEstimator::FetchTraffic(SimTime now) {
+  EisFetch fetch = EisFetch::kFresh;
+  TrafficFetch traffic;
+  traffic.band = eis_->GetTraffic(RoadClass::kArterial, now, now, &fetch);
+  traffic.degraded = fetch != EisFetch::kFresh;
+  return traffic;
+}
+
 EcIntervals EcEstimator::EstimateIntervals(const VehicleState& state,
                                            const EvCharger& charger,
+                                           const TrafficFetch& traffic,
                                            double derouting_norm_m) {
-  DeroutingQuery q = MakeQuery(state);
-  EisFetch traffic_fetch = EisFetch::kFresh;
-  CongestionModel::Band band = eis_->GetTraffic(
-      RoadClass::kArterial, state.time, state.time, &traffic_fetch);
-  DeroutingEstimate der = derouting_.Estimate(q, charger, band);
+  DeroutingEstimate der =
+      derouting_.Estimate(MakeQuery(state), charger, traffic.band);
   SimTime eta_time = state.time + der.eta_s;
 
   EisFetch energy_fetch = EisFetch::kFresh;
@@ -128,20 +134,17 @@ EcIntervals EcEstimator::EstimateIntervals(const VehicleState& state,
       NormalizeDerouting(der.extra_distance_min_m, derouting_norm_m),
       NormalizeDerouting(der.extra_distance_max_m, derouting_norm_m));
   ecs.eta_s = der.eta_s;
-  ecs.degraded = traffic_fetch != EisFetch::kFresh ||
-                 energy_fetch != EisFetch::kFresh ||
+  ecs.degraded = traffic.degraded || energy_fetch != EisFetch::kFresh ||
                  avail_fetch != EisFetch::kFresh;
   return ecs;
 }
 
 void EcEstimator::ReviseDerouting(const VehicleState& state,
-                                  const EvCharger& charger, EcIntervals* ecs,
-                                  double derouting_norm_m) {
-  DeroutingQuery q = MakeQuery(state);
-  EisFetch traffic_fetch = EisFetch::kFresh;
-  CongestionModel::Band band = eis_->GetTraffic(
-      RoadClass::kArterial, state.time, state.time, &traffic_fetch);
-  DeroutingEstimate der = derouting_.Estimate(q, charger, band);
+                                  const EvCharger& charger,
+                                  const TrafficFetch& traffic,
+                                  EcIntervals* ecs, double derouting_norm_m) {
+  DeroutingEstimate der =
+      derouting_.Estimate(MakeQuery(state), charger, traffic.band);
   if (derouting_estimates_) derouting_estimates_->Add();
   ecs->derouting = Interval::FromUnordered(
       NormalizeDerouting(der.extra_distance_min_m, derouting_norm_m),
@@ -149,13 +152,14 @@ void EcEstimator::ReviseDerouting(const VehicleState& state,
   ecs->eta_s = der.eta_s;
   // Adaptation keeps the cached L/A estimates: a degraded flag can only be
   // added to, never cleared by, the refreshed derouting component.
-  ecs->degraded = ecs->degraded || traffic_fetch != EisFetch::kFresh;
+  ecs->degraded = ecs->degraded || traffic.degraded;
 }
 
-EcIntervals EcEstimator::EstimateWithExactDerouting(const VehicleState& state,
-                                                    const EvCharger& charger,
-                                                    double derouting_norm_m) {
-  EcIntervals ecs = EstimateIntervals(state, charger, derouting_norm_m);
+EcIntervals EcEstimator::EstimateWithExactDerouting(
+    const VehicleState& state, const EvCharger& charger,
+    const TrafficFetch& traffic, double derouting_norm_m) {
+  EcIntervals ecs =
+      EstimateIntervals(state, charger, traffic, derouting_norm_m);
   DeroutingEstimate exact = derouting_.Exact(MakeQuery(state), charger);
   if (exact_derouting_estimates_) exact_derouting_estimates_->Add();
   ApplyExactDerouting(exact, derouting_norm_m, &ecs);

@@ -44,6 +44,19 @@ struct EcEstimatorOptions {
   int ch_threads = 0;
 };
 
+/// \brief The traffic band one ranking estimates every candidate under.
+///
+/// The EIS traffic key is (road class, issue bucket, target bucket) of the
+/// request time — identical for every candidate of a ranking — so a
+/// ranking fetches it once (EcEstimator::FetchTraffic) and hands it to
+/// each per-candidate estimate (DESIGN.md §11). `degraded` is that single
+/// fetch's rung: under upstream faults it marks every candidate of the
+/// ranking alike.
+struct TrafficFetch {
+  CongestionModel::Band band;
+  bool degraded = false;
+};
+
 /// \brief Ground-truth (realized) components of one charger, normalized.
 struct EcTruth {
   double level = 0.0;
@@ -93,18 +106,34 @@ class EcEstimator {
               const EcEstimatorOptions& options,
               InformationServer* shared_eis);
 
-  /// Interval ECs (normalized) for `charger` seen from `state`.
+  /// The ranking-wide traffic band for a request at `now`: one EIS
+  /// traffic lookup, shared by every candidate estimate of the ranking.
+  TrafficFetch FetchTraffic(SimTime now);
+
+  /// Interval ECs (normalized) for `charger` seen from `state`, with the
+  /// derouting interval priced under the ranking's `traffic` band.
   /// `derouting_norm_m` overrides the D normalization constant (the
   /// "environment's maximum derouting distance", which scales with the
   /// user's configured radius R); 0 keeps the estimator-wide default.
   EcIntervals EstimateIntervals(const VehicleState& state,
                                 const EvCharger& charger,
+                                const TrafficFetch& traffic,
                                 double derouting_norm_m = 0.0);
+
+  /// Single-candidate form (baselines, Brute-Force, benches): fetches the
+  /// traffic band itself, then estimates exactly as above.
+  EcIntervals EstimateIntervals(const VehicleState& state,
+                                const EvCharger& charger,
+                                double derouting_norm_m = 0.0) {
+    return EstimateIntervals(state, charger, FetchTraffic(state.time),
+                             derouting_norm_m);
+  }
 
   /// Like EstimateIntervals but with the derouting interval replaced by the
   /// network-exact value — the refinement phase's upgrade path.
   EcIntervals EstimateWithExactDerouting(const VehicleState& state,
                                          const EvCharger& charger,
+                                         const TrafficFetch& traffic,
                                          double derouting_norm_m = 0.0);
 
   /// Batched form of the exact-derouting upgrade: one forward sweep plus
@@ -124,10 +153,12 @@ class EcEstimator {
                            double derouting_norm_m, EcIntervals* ecs) const;
 
   /// Recomputes only the derouting interval and ETA of `ecs` for a new
-  /// vehicle state, keeping the (possibly stale) L and A estimates — the
-  /// Dynamic Caching adaptation step.
+  /// vehicle state under the ranking's `traffic` band, keeping the
+  /// (possibly stale) L and A estimates — the Dynamic Caching adaptation
+  /// step.
   void ReviseDerouting(const VehicleState& state, const EvCharger& charger,
-                       EcIntervals* ecs, double derouting_norm_m = 0.0);
+                       const TrafficFetch& traffic, EcIntervals* ecs,
+                       double derouting_norm_m = 0.0);
 
   /// Realized normalized components.
   EcTruth Truth(const VehicleState& state, const EvCharger& charger);

@@ -55,10 +55,11 @@ void EcoChargeRanker::RankInto(const VehicleState& state, size_t k,
     ctx.scored.assign(cached->begin(), cached->end());
     if (options_.adapt_revises_derouting) {
       const std::vector<EvCharger>& fleet = estimator_->fleet();
+      const TrafficFetch traffic = estimator_->FetchTraffic(state.time);
       for (ScoredCandidate& c : ctx.scored) {
         if (c.charger_id >= fleet.size()) continue;
-        estimator_->ReviseDerouting(state, fleet[c.charger_id], &c.ecs,
-                                    2.0 * options_.radius_m);
+        estimator_->ReviseDerouting(state, fleet[c.charger_id], traffic,
+                                    &c.ecs, 2.0 * options_.radius_m);
         c.score = ComputeScorePair(c.ecs, weights_);
       }
     }
@@ -72,16 +73,18 @@ void EcoChargeRanker::RankInto(const VehicleState& state, size_t k,
     return;
   }
 
-  // Full regeneration: filter within R, score, intersect, refine.
+  // Full regeneration: filter within R, score, intersect, refine — all
+  // under one traffic fetch.
+  const TrafficFetch traffic = estimator_->FetchTraffic(state.time);
   const std::vector<ChargerId>& candidates =
       processor_.FilterCandidates(state.position, &ctx);
   const std::vector<ScoredCandidate>& scored =
-      processor_.ScoreCandidates(state, candidates, weights_, &ctx);
+      processor_.ScoreCandidates(state, candidates, weights_, traffic, &ctx);
   if (options_.use_dynamic_cache) {
     cache_.Store(state.position, state.time, scored);
   }
   processor_.RefineAndRank(state, &scored, k, weights_,
-                           options_.refine_exact_derouting, &ctx,
+                           options_.refine_exact_derouting, &traffic, &ctx,
                            &out->entries);
   for (const OfferingEntry& e : out->entries) {
     out->NoteEntryDegradation(e.ecs);

@@ -2,7 +2,6 @@
 #define ECOCHARGE_EIS_TTL_CACHE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -30,33 +29,37 @@ struct CacheStats {
   }
 };
 
-/// \brief Lock-free counter cell shared by all shards of one cache.
+/// \brief Lock-free hit/miss/expiration accumulator of one cache.
 ///
-/// Counters are advisory accounting, not synchronization: relaxed atomics
-/// are sufficient, and Snapshot() materializes a consistent-enough
-/// CacheStats value for reporting (individual counters are exact; the
+/// Every lookup of every serving worker bumps one of these, so each count
+/// is an obs::Counter, sharded per thread: a worker bumps its own 64-byte
+/// cell, and counting a lookup never writes a cache line another worker
+/// writes. Snapshot() sums the cells — individual counters are exact; the
 /// triple is only approximately simultaneous under concurrency, which is
-/// all hit-rate reporting needs).
+/// all hit-rate reporting needs.
 class AtomicCacheStats {
  public:
-  void AddHit() { hits_.fetch_add(1, std::memory_order_relaxed); }
-  void AddMiss() { misses_.fetch_add(1, std::memory_order_relaxed); }
-  void AddExpiration() {
-    expirations_.fetch_add(1, std::memory_order_relaxed);
-  }
+  AtomicCacheStats()
+      : hits_(obs::DefaultShards()),
+        misses_(obs::DefaultShards()),
+        expirations_(obs::DefaultShards()) {}
+
+  void AddHit() { hits_.Add(); }
+  void AddMiss() { misses_.Add(); }
+  void AddExpiration() { expirations_.Add(); }
 
   CacheStats Snapshot() const {
     CacheStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.expirations = expirations_.load(std::memory_order_relaxed);
+    s.hits = hits_.Value();
+    s.misses = misses_.Value();
+    s.expirations = expirations_.Value();
     return s;
   }
 
  private:
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> expirations_{0};
+  obs::Counter hits_;
+  obs::Counter misses_;
+  obs::Counter expirations_;
 };
 
 /// \brief TTL cache over simulation time — the building block of the
@@ -81,7 +84,9 @@ class AtomicCacheStats {
 /// from the serving workers only contends when two requests land on the
 /// same shard. Freshness is checked under the shard lock — a Get can never
 /// return an entry that was stale-beyond-TTL at its `now`, no matter how
-/// Put/SweepExpired calls interleave. Counters are relaxed atomics. The
+/// Put/SweepExpired calls interleave. Counters are per-thread cells
+/// (AtomicCacheStats), and each shard owns its cache line, so neighbouring
+/// shard mutexes never share one. The
 /// single-shard default keeps the single-threaded figure pipeline exactly
 /// as before (sharding changes lock granularity, never answers).
 template <typename Key, typename Value>
@@ -208,7 +213,7 @@ class TtlCache {
     Value value;
     SimTime inserted_at;
   };
-  struct Shard {
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_map<Key, Entry> map;
   };

@@ -15,12 +15,12 @@ size_t RoundUpPow2(size_t n) {
   return std::max<size_t>(1, p);
 }
 
+}  // namespace
+
 size_t DefaultShards() {
   unsigned hw = std::thread::hardware_concurrency();
   return RoundUpPow2(std::min<size_t>(16, std::max<size_t>(1, hw)));
 }
-
-}  // namespace
 
 Counter::Counter(size_t shards)
     : mask_(RoundUpPow2(shards) - 1),

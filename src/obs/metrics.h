@@ -27,6 +27,10 @@ inline size_t ThreadSlot() {
   return slot;
 }
 
+/// Shard count of metrics built without an explicit one: the hardware
+/// concurrency rounded up to a power of two, capped at 16.
+size_t DefaultShards();
+
 /// \brief Monotonically increasing event count, sharded per worker.
 ///
 /// Add() is lock-free and allocation-free: one relaxed fetch_add on a

@@ -29,11 +29,41 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-// ~100 m grid, for the (unusual) case of a state with no snapped node:
-// the key must still quantize so corridor-mates land on one entry.
-uint64_t QuantizeCoord(double c) {
-  return static_cast<uint64_t>(
-      static_cast<int64_t>(std::floor(c / 100.0)));
+// ~100 m grid, for the (unusual) case of a place with no snapped node:
+// the key must still quantize so corridor-mates land on one entry, and
+// the canonical anchor moves such a place to its cell's corner.
+constexpr double kGridM = 100.0;
+
+int64_t GridCell(double c) {
+  return static_cast<int64_t>(std::floor(c / kGridM));
+}
+
+// KeyFor/CanonicalState's shared place rule: a node of the network names
+// its place; anything else (no node, or one out of range) falls back to
+// the grid cell.
+bool IsNetworkNode(const RoadNetwork* network, NodeId node) {
+  return network != nullptr && node != kInvalidNode &&
+         node < network->NumNodes();
+}
+
+uint64_t MixPlace(const RoadNetwork* network, uint64_t h, NodeId node,
+                  const Point& point) {
+  if (IsNetworkNode(network, node)) {
+    return Mix(h, static_cast<uint64_t>(node) + 1);
+  }
+  h = Mix(h, 0);  // no node: keyed by grid cell, apart from node ids
+  h = Mix(h, static_cast<uint64_t>(GridCell(point.x)));
+  return Mix(h, static_cast<uint64_t>(GridCell(point.y)));
+}
+
+void SnapPlace(const RoadNetwork* network, NodeId* node, Point* point) {
+  if (IsNetworkNode(network, *node)) {
+    *point = network->NodePosition(*node);
+    return;
+  }
+  *node = kInvalidNode;
+  *point = Point{static_cast<double>(GridCell(point->x)) * kGridM,
+                 static_cast<double>(GridCell(point->y)) * kGridM};
 }
 
 }  // namespace
@@ -49,14 +79,9 @@ uint64_t CorridorCache::KeyFor(const VehicleState& state, size_t k,
   uint64_t eta_bucket = static_cast<uint64_t>(
       std::max(0.0, state.time) / options_.eta_bucket_s);
   uint64_t h = 0x8C9A1E7B5D3F2A41ULL;
-  if (state.node != kInvalidNode) {
-    h = Mix(h, state.node + 1);
-  } else {
-    h = Mix(h, QuantizeCoord(state.position.x));
-    h = Mix(h, QuantizeCoord(state.position.y));
-  }
-  h = Mix(h, static_cast<uint64_t>(state.return_node_a) + 1);
-  h = Mix(h, static_cast<uint64_t>(state.return_node_b) + 1);
+  h = MixPlace(network_, h, state.node, state.position);
+  h = MixPlace(network_, h, state.return_node_a, state.return_point_a);
+  h = MixPlace(network_, h, state.return_node_b, state.return_point_b);
   h = Mix(h, eta_bucket);
   h = Mix(h, k);
   h = Mix(h, DoubleBits(state.charge_window_s));
@@ -70,10 +95,13 @@ VehicleState CorridorCache::CanonicalState(const VehicleState& state) const {
   VehicleState anchor = state;
   anchor.time = std::floor(std::max(0.0, state.time) / options_.eta_bucket_s) *
                 options_.eta_bucket_s;
-  if (network_ != nullptr && state.node != kInvalidNode &&
-      state.node < network_->NumNodes()) {
-    anchor.position = network_->NodePosition(state.node);
-  }
+  // Every place the key identifies by node (or grid cell) is moved onto
+  // that node (or cell corner): two states sharing a key then share one
+  // anchor, whatever their exact coordinates, so the first writer cannot
+  // decide what its bucket-mates receive.
+  SnapPlace(network_, &anchor.node, &anchor.position);
+  SnapPlace(network_, &anchor.return_node_a, &anchor.return_point_a);
+  SnapPlace(network_, &anchor.return_node_b, &anchor.return_point_b);
   // The trip identity must not leak into the shared table: every
   // bucket-mate receives the same canonical bytes no matter which vehicle
   // populated the entry.

@@ -69,20 +69,24 @@ struct CorridorCacheOptions {
 class CorridorCache {
  public:
   /// \param network the road graph, for node -> position canonicalization
-  ///   (borrowed, must outlive the cache).
+  ///   (borrowed, must outlive the cache; null keys every place by its
+  ///   grid cell).
   CorridorCache(const RoadNetwork* network,
                 const CorridorCacheOptions& options);
 
   /// The corridor key of `state` under `revisions`: a 64-bit mix of the
   /// snapped node, the segment's return nodes, k, the charge-window bits,
-  /// the ETA bucket, and the three upstream revisions.
+  /// the ETA bucket, and the three upstream revisions. A place whose node
+  /// is not a network node is keyed by its 100 m grid cell instead.
   uint64_t KeyFor(const VehicleState& state, size_t k,
                   const WorldRevisions& revisions) const;
 
   /// The canonical anchor state every key-mate shares: time floored to
-  /// the bucket start, position moved to the snapped node, trip identity
-  /// (trip_id, segment_index) zeroed. Ranking this state fresh yields the
-  /// exact bytes stored under KeyFor(state, ...).
+  /// the bucket start, the position and both return points moved to their
+  /// nodes' positions (or, without a network node, to their grid cell's
+  /// corner with the node cleared), trip identity (trip_id, segment_index)
+  /// zeroed. It is a function of the key alone, so ranking it fresh yields
+  /// the exact bytes stored under KeyFor(state, ...) whoever misses first.
   VehicleState CanonicalState(const VehicleState& state) const;
 
   /// On a fresh hit, copies the cached table into `*out` (reusing its

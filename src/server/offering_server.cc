@@ -309,12 +309,17 @@ void OfferingServer::Drain() {
 
 void OfferingServer::Shutdown() {
   if (shutdown_.exchange(true, std::memory_order_acq_rel)) return;
-  if (threads_ == 0) return;
-  // Closing lets workers drain what was accepted, then exit their loops.
-  for (auto& worker : workers_) worker->queue->Close();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
+  if (threads_ > 0) {
+    // Closing lets workers drain what was accepted, then exit their loops.
+    for (auto& worker : workers_) worker->queue->Close();
+    for (auto& worker : workers_) {
+      if (worker->thread.joinable()) worker->thread.join();
+    }
   }
+  // The plane cache outlives this server (it lives in the environment):
+  // unhook it from metrics_ before the registry dies with the server,
+  // unless a newer server has attached its own registry since.
+  if (env_->ch_cache != nullptr) env_->ch_cache->DetachMetrics(&metrics_);
 }
 
 OfferingServerStats OfferingServer::Stats() const {

@@ -159,8 +159,10 @@ class OfferingServer {
   /// Blocks until every accepted request has been served.
   void Drain();
 
-  /// Drains, closes the queues, and joins the workers. Idempotent;
-  /// further submissions are rejected. Called by the destructor.
+  /// Drains, closes the queues, joins the workers, and unhooks the
+  /// environment's CH plane cache from this server's registry (when it
+  /// still points there). Idempotent; further submissions are rejected.
+  /// Called by the destructor.
   void Shutdown();
 
   /// Worker count (0 = synchronous inline mode).

@@ -166,15 +166,34 @@ DeroutingEstimate UnreachableEstimate() {
   return est;
 }
 
-/// The per-class weights the exact cost lambda realizes at cost time tau.
-/// The CH search uses them only to pick the argmin path; costs are refolded
-/// over the unpacked edges with the lambda itself.
-ChClassWeights ChWeightsAt(const CongestionModel& congestion, SimTime tau) {
-  ChClassWeights weights;
-  for (int c = 0; c < kChNumClasses; ++c) {
-    weights.w[c] =
-        1.0 / congestion.ActualSpeedFactor(static_cast<RoadClass>(c), tau);
+/// The realized speed factor of every road class at one cost time tau,
+/// evaluated once per (query, tau). ActualSpeedFactor re-seeds an Rng and
+/// draws a Gaussian per call, so the exact cost of an arc divides by the
+/// stored factor instead — the same double, hence bit-identical costs.
+struct SpeedFactors {
+  double f[kChNumClasses];
+
+  /// Congested travel distance of `e`: length / speed_factor(class, tau),
+  /// i.e. congested roads count longer, matching Eq. 3's weighted edges.
+  double Cost(const Arc& e) const {
+    return e.length_m / f[static_cast<size_t>(e.road_class)];
   }
+};
+
+SpeedFactors SpeedFactorsAt(const CongestionModel& congestion, SimTime tau) {
+  SpeedFactors factors;
+  for (int c = 0; c < kChNumClasses; ++c) {
+    factors.f[c] = congestion.ActualSpeedFactor(static_cast<RoadClass>(c), tau);
+  }
+  return factors;
+}
+
+/// The per-class weights the exact cost realizes under `factors`. The CH
+/// search uses them only to pick the argmin path; costs are refolded over
+/// the unpacked edges with SpeedFactors::Cost itself.
+ChClassWeights ChWeightsOf(const SpeedFactors& factors) {
+  ChClassWeights weights;
+  for (int c = 0; c < kChNumClasses; ++c) weights.w[c] = 1.0 / factors.f[c];
   return weights;
 }
 
@@ -223,18 +242,15 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
     return UnreachableEstimate();
   }
 
-  // Cost = congested travel distance: length / speed_factor(class, tau),
-  // i.e. congested roads count longer, matching Eq. 3's weighted edges.
-  // tau is the (possibly bucketed) cost time, shared with ExactBatch so
-  // both fidelities accumulate the same doubles.
+  // Cost = congested travel distance (SpeedFactors::Cost). tau is the
+  // (possibly bucketed) cost time, shared with ExactBatch so both
+  // fidelities accumulate the same doubles.
   const SimTime tau = ExactCostTime(query.now);
-  auto cost = [this, tau](const Arc& e) {
-    return e.length_m /
-           congestion_->ActualSpeedFactor(e.road_class, tau);
-  };
+  const SpeedFactors factors = SpeedFactorsAt(*congestion_, tau);
+  const EdgeCostFn cost = [&factors](const Arc& e) { return factors.Cost(e); };
 
   if (ch_ != nullptr) {
-    const ChClassWeights weights = ChWeightsAt(*congestion_, tau);
+    const ChClassWeights weights = ChWeightsOf(factors);
     const double to_b =
         ChExactPathCost(ch_query_.get(), *network_, nodes.m, charger.node,
                         weights, cost, SweepDirection::kForward, &ch_edges_);
@@ -280,13 +296,10 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
 
 bool DeroutingService::ChBatchExact(NodeId m, NodeId ra, NodeId rb,
                                     std::span<const ChargerRef> chargers,
-                                    SimTime tau,
+                                    const ChClassWeights& weights,
+                                    const EdgeCostFn& cost, double cruise,
                                     std::vector<DeroutingEstimate>* out) {
   const size_t num_nodes = network_->NumNodes();
-  auto cost = [this, tau](const Arc& e) {
-    return e.length_m / congestion_->ActualSpeedFactor(e.road_class, tau);
-  };
-  const ChClassWeights weights = ChWeightsAt(*congestion_, tau);
   ch_query_->EnsureCustomized(weights);
   ChBatchSpaces& sp = *ch_spaces_;
 
@@ -324,7 +337,6 @@ bool DeroutingService::ChBatchExact(NodeId m, NodeId ra, NodeId rb,
   };
 
   const double direct = m_ok ? return_cost(sp.m_fwd) : kInfiniteCost;
-  const double cruise = std::max(CruiseSpeed(tau), 1.0);
   for (ChargerRef charger : chargers) {
     const NodeId b = charger->node;
     double to_b = kInfiniteCost;
@@ -368,26 +380,25 @@ BatchSweepStats DeroutingService::ExactBatch(
   const QueryNodes nodes = ResolveNodes(*network_, query);
   const size_t num_nodes = network_->NumNodes();
   const SimTime tau = ExactCostTime(query.now);
-  auto cost = [this, tau](const Arc& e) {
-    return e.length_m /
-           congestion_->ActualSpeedFactor(e.road_class, tau);
-  };
+  const SpeedFactors factors = SpeedFactorsAt(*congestion_, tau);
+  const EdgeCostFn cost = [&factors](const Arc& e) { return factors.Cost(e); };
+  const double cruise = std::max(CruiseSpeed(tau), 1.0);
 
   if (ch_ != nullptr) {
     // Space-sharing CH batch first; when the hierarchy rejects the
     // elimination-tree builder, per-leg bidirectional searches below give
     // the same (bit-identical) estimates at point-to-point cost.
-    if (ChBatchExact(nodes.m, nodes.ra, nodes.rb, chargers, tau, out)) {
+    const ChClassWeights weights = ChWeightsOf(factors);
+    if (ChBatchExact(nodes.m, nodes.ra, nodes.rb, chargers, weights, cost,
+                     cruise, out)) {
       return stats;
     }
     out->clear();
-    const ChClassWeights weights = ChWeightsAt(*congestion_, tau);
     const double direct =
         nodes.m < num_nodes
             ? ChReturnCost(ch_query_.get(), *network_, nodes.m, nodes.ra,
                            nodes.rb, weights, cost, &ch_edges_)
             : kInfiniteCost;
-    const double cruise = std::max(CruiseSpeed(tau), 1.0);
     for (ChargerRef charger : chargers) {
       const NodeId b = charger->node;
       const double to_b =
@@ -434,7 +445,6 @@ BatchSweepStats DeroutingService::ExactBatch(
   const double direct =
       nodes.m < num_nodes ? back_search_.CostTo(nodes.m) : kInfiniteCost;
 
-  const double cruise = std::max(CruiseSpeed(tau), 1.0);
   for (ChargerRef charger : chargers) {
     const NodeId b = charger->node;
     const double to_b = nodes.m < num_nodes && b < num_nodes
@@ -476,7 +486,8 @@ bool DeroutingService::EtaWindow(const DeroutingQuery& query,
   ch_planes_.clear();
   for (size_t j = 0; j < buckets; ++j) {
     const SimTime tau = tau0 + static_cast<double>(j) * exact_time_bucket_s_;
-    const ChClassWeights weights = ChWeightsAt(*congestion_, tau);
+    const ChClassWeights weights =
+        ChWeightsOf(SpeedFactorsAt(*congestion_, tau));
     std::shared_ptr<const ChCustomization> plane;
     if (ch_cache_ != nullptr) {
       plane = ch_cache_->Get(weights);
@@ -519,12 +530,9 @@ bool DeroutingService::EtaWindow(const DeroutingQuery& query,
     // have accumulated it, then convert to seconds — exactly Exact()'s
     // eta_s at that bucket.
     const SimTime tau = tau0 + static_cast<double>(j) * exact_time_bucket_s_;
+    const SpeedFactors factors = SpeedFactorsAt(*congestion_, tau);
     double acc = 0.0;
-    for (EdgeId e : ch_edges_) {
-      const Arc& arc = network_->arc(e);
-      acc = acc + arc.length_m /
-                      congestion_->ActualSpeedFactor(arc.road_class, tau);
-    }
+    for (EdgeId e : ch_edges_) acc = acc + factors.Cost(network_->arc(e));
     (*etas_s)[j] = acc / std::max(CruiseSpeed(tau), 1.0);
   }
   return true;

@@ -17,6 +17,7 @@ class ChQuery;
 class ChCustomizer;
 class ChCustomizationCache;
 class ChProfileQuery;
+struct ChClassWeights;
 struct ChCustomization;
 
 namespace obs {
@@ -221,12 +222,14 @@ class DeroutingService {
   bool EnsureBackwardSweep(NodeId ra, NodeId rb, SimTime tau);
 
   /// Space-sharing CH batch: builds the vehicle/return elimination-tree
-  /// spaces once and meets each charger's two spaces against them. Returns
+  /// spaces once and meets each charger's two spaces against them, under
+  /// the query's class `weights`, arc `cost` and `cruise` speed. Returns
   /// false (with `*out` cleared) when the hierarchy rejects the space
   /// builder; ExactBatch then falls back to per-leg bidirectional searches.
   bool ChBatchExact(NodeId m, NodeId ra, NodeId rb,
-                    std::span<const ChargerRef> chargers, SimTime tau,
-                    std::vector<DeroutingEstimate>* out);
+                    std::span<const ChargerRef> chargers,
+                    const ChClassWeights& weights, const EdgeCostFn& cost,
+                    double cruise, std::vector<DeroutingEstimate>* out);
 
   std::shared_ptr<const RoadNetwork> network_;
   const CongestionModel* congestion_;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -275,6 +277,129 @@ TEST(ChDeroutingTest, ExactBatchMatchesDijkstraBackendBitwise) {
             << "charger " << i << " tau " << tau;
       }
     }
+  }
+}
+
+/// Reference exact derouting kept independent of DeroutingService: every
+/// relaxed arc is priced by its own ActualSpeedFactor(class, tau) call
+/// (CongestedCost), outbound by a forward sweep from m, the return legs
+/// and the direct cost by one backward sweep seeded at both return nodes.
+/// The engines evaluate the class factors once per query; their costs
+/// must still match this per-arc fold bit for bit.
+DeroutingEstimate ReferenceExact(const RoadNetwork& network,
+                                 const CongestionModel& congestion,
+                                 const DeroutingQuery& q, NodeId b,
+                                 SimTime tau) {
+  const EdgeCostFn cost = CongestedCost(congestion, tau);
+  DijkstraSearch forward(network);
+  const NodeId out_targets[1] = {b};
+  forward.OneToMany(q.vehicle_node, out_targets, cost);
+  const double to_b = forward.CostTo(b);
+  DeroutingEstimate est;
+  if (!std::isfinite(to_b)) {
+    est.extra_distance_min_m = est.extra_distance_max_m = kInfiniteCost;
+    est.eta_s = kInfiniteCost;
+    return est;
+  }
+  DijkstraSearch backward(network);
+  const NodeId sources[2] = {q.return_node_a, q.return_node_b};
+  backward.StartSweep(sources, SweepDirection::kBackward);
+  const NodeId back_targets[2] = {b, q.vehicle_node};
+  backward.ExtendSweep(back_targets, cost);
+  const double back = backward.CostTo(b);
+  const double direct = backward.CostTo(q.vehicle_node);
+  const double extra = std::max(
+      0.0, to_b + (std::isfinite(back) ? back : 0.0) -
+               (std::isfinite(direct) ? direct : 0.0));
+  est.extra_distance_min_m = est.extra_distance_max_m = extra;
+  const double cruise =
+      FreeFlowSpeed(RoadClass::kArterial) *
+      congestion.ActualSpeedFactor(RoadClass::kArterial, tau);
+  est.eta_s = to_b / std::max(cruise, 1.0);
+  return est;
+}
+
+::testing::AssertionResult SameBits(const DeroutingEstimate& want,
+                                    const DeroutingEstimate& got) {
+  if (std::memcmp(&want, &got, sizeof(DeroutingEstimate)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "want (" << want.extra_distance_min_m << ", " << want.eta_s
+         << ") got (" << got.extra_distance_min_m << ", " << got.eta_s << ")";
+}
+
+TEST(ChDeroutingTest, ExactCostsMatchPerArcSpeedFactorReference) {
+  constexpr double kBucketS = 900.0;
+  constexpr size_t kLanes = 3;
+  for (uint64_t seed : {7u, 13u}) {
+    auto network = SmallRgg(seed);
+    auto ch = BuildChIndex(*network).MoveValueUnsafe();
+    CongestionModel congestion(seed);
+    DeroutingService dijkstra(network, &congestion);
+    DeroutingService hierarchy(network, &congestion);
+    hierarchy.set_ch(ch.get());
+    DeroutingService window(network, &congestion, 1.3, kBucketS);
+    window.set_ch(ch.get());
+
+    std::vector<EvCharger> chargers;
+    for (NodeId v = 3; v < network->NumNodes(); v += 23) {
+      EvCharger charger;
+      charger.node = v;
+      charger.position = network->NodePosition(v);
+      chargers.push_back(charger);
+    }
+    std::vector<ChargerRef> refs;
+    for (const EvCharger& charger : chargers) refs.push_back(&charger);
+    DeroutingBatchScratch scratch;
+    std::vector<DeroutingEstimate> batch;
+    std::vector<double> etas;
+    size_t windows = 0;
+
+    // Rush hour and off-peak: every class factor differs between them.
+    for (SimTime now : {8.1 * 3600, 17.6 * 3600, 3.2 * 3600}) {
+      DeroutingQuery q;
+      q.vehicle_node = 1;
+      q.vehicle_position = network->NodePosition(1);
+      q.return_node_a = 50;
+      q.return_point_a = network->NodePosition(50);
+      q.return_node_b = 120;
+      q.return_point_b = network->NodePosition(120);
+      q.now = now;
+
+      for (DeroutingService* engine : {&dijkstra, &hierarchy}) {
+        const char* name = engine == &dijkstra ? "dijkstra" : "ch";
+        engine->ExactBatch(q, refs, &scratch, &batch);
+        ASSERT_EQ(batch.size(), chargers.size());
+        for (size_t i = 0; i < chargers.size(); ++i) {
+          const DeroutingEstimate want = ReferenceExact(
+              *network, congestion, q, chargers[i].node, now);
+          EXPECT_TRUE(SameBits(want, engine->Exact(q, chargers[i])))
+              << name << " Exact, charger " << i << " now " << now;
+          EXPECT_TRUE(SameBits(want, batch[i]))
+              << name << " ExactBatch, charger " << i << " now " << now;
+        }
+      }
+
+      const SimTime tau0 = std::floor(now / kBucketS) * kBucketS;
+      for (size_t i = 0; i < chargers.size(); ++i) {
+        if (!window.EtaWindow(q, chargers[i], kLanes, &etas)) continue;
+        ++windows;
+        ASSERT_EQ(etas.size(), kLanes);
+        for (size_t j = 0; j < kLanes; ++j) {
+          const SimTime tau = tau0 + static_cast<double>(j) * kBucketS;
+          const double want =
+              ReferenceExact(*network, congestion, q, chargers[i].node, tau)
+                  .eta_s;
+          EXPECT_EQ(std::memcmp(&want, &etas[j], sizeof(double)), 0)
+              << "EtaWindow lane " << j << ", charger " << i << " now "
+              << now << ": want " << want << " got " << etas[j];
+        }
+      }
+    }
+    // The space builder may reject some endpoints; all of them would make
+    // the lane check vacuous.
+    EXPECT_GT(windows, 0u);
   }
 }
 

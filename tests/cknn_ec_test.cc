@@ -225,6 +225,31 @@ TEST_F(CknnProcessorTest, QueryReturnsAtMostKSortedEntries) {
   }
 }
 
+// One traffic fetch per ranking on both score paths: Query() scores C
+// candidates and re-estimates the refined ones under a single band.
+TEST_F(CknnProcessorTest, QueryFetchesTrafficOncePerRanking) {
+  const InformationServer& eis = env_->estimator->information_server();
+  auto traffic_lookups = [&eis] {
+    const CacheStats stats = eis.Snapshot().traffic_cache;
+    return stats.hits + stats.misses;
+  };
+  for (bool simd : {true, false}) {
+    CknnEcOptions opts;
+    opts.radius_m = 60000.0;
+    opts.use_simd = simd;
+    CknnEcProcessor processor(env_->estimator.get(),
+                              env_->charger_index.get(), opts);
+    for (const VehicleState& state : states_) {
+      QueryContext ctx;
+      std::vector<OfferingEntry> out;
+      const uint64_t before = traffic_lookups();
+      processor.Query(state, 3, ScoreWeights::AWE(), &ctx, &out);
+      ASSERT_GT(ctx.scored.size(), 1u);
+      EXPECT_EQ(traffic_lookups() - before, 1u) << "simd=" << simd;
+    }
+  }
+}
+
 TEST_F(CknnProcessorTest, RefinementCollapsesDeroutingInterval) {
   CknnEcOptions opts;
   opts.radius_m = 50000.0;

@@ -58,6 +58,46 @@ TEST_F(EcoChargeTest, CacheAdaptsNearbyQueries) {
   EXPECT_EQ(eco.cache().hits(), 1u);
 }
 
+// The traffic band is fetched once per ranking (DESIGN.md §11): a fresh
+// ranking over C candidates — scoring and the refinement re-estimate —
+// makes exactly one eis.traffic lookup, and so does a Dynamic-Cache
+// adaptation that revises derouting; a plain adaptation makes none.
+TEST_F(EcoChargeTest, OneTrafficLookupPerRanking) {
+  obs::MetricsRegistry registry;
+  env_->estimator->AttachMetrics(&registry);
+  auto traffic_lookups = [&registry] {
+    return registry.FindCounter("eis.traffic.cache.hits")->Value() +
+           registry.FindCounter("eis.traffic.cache.misses")->Value();
+  };
+  const obs::Counter* estimates =
+      registry.FindCounter("estimator.estimates.derouting");
+  ASSERT_NE(estimates, nullptr);
+
+  for (bool revise : {false, true}) {
+    EcoChargeOptions opts = DefaultOpts();
+    opts.adapt_revises_derouting = revise;
+    EcoChargeRanker eco(env_->estimator.get(), env_->charger_index.get(),
+                        weights_, opts);
+    uint64_t lookups = traffic_lookups();
+    uint64_t estimated = estimates->Value();
+    OfferingTable fresh = eco.Rank(states_[0], 3);
+    ASSERT_FALSE(fresh.adapted_from_cache);
+    EXPECT_GT(estimates->Value() - estimated, 1u) << "C > 1 candidates";
+    EXPECT_EQ(traffic_lookups() - lookups, 1u) << "fresh ranking";
+
+    VehicleState nearby = states_[0];
+    nearby.time += 60.0;
+    lookups = traffic_lookups();
+    estimated = estimates->Value();
+    OfferingTable adapted = eco.Rank(nearby, 3);
+    ASSERT_TRUE(adapted.adapted_from_cache);
+    EXPECT_EQ(estimates->Value() - estimated > 1u, revise);
+    EXPECT_EQ(traffic_lookups() - lookups, revise ? 1u : 0u)
+        << "adaptation, revise=" << revise;
+  }
+  env_->estimator->AttachMetrics(nullptr);
+}
+
 TEST_F(EcoChargeTest, FarQueryRegenerates) {
   EcoChargeOptions opts = DefaultOpts();
   opts.q_distance_m = 1000.0;

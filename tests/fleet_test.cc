@@ -1,13 +1,16 @@
 #include "fleet/fleet_server.h"
 
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/offering_service.h"
 #include "core/protocol.h"
 #include "server/client_store.h"
 #include "server/corridor_cache.h"
@@ -328,6 +331,133 @@ TEST_F(CorridorCacheTest, HitReturnsBitIdenticalTableAndTtlExpires) {
   CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.expirations, 1u);
+}
+
+/// Serves `first`, then `second`, through a fresh corridor cache the way
+/// the server's corridor path does — a miss ranks the canonical anchor
+/// and inserts it, a hit copies the entry out — and returns the tables
+/// the two vehicles received, in serving order.
+std::pair<OfferingTable, OfferingTable> ServeInOrder(
+    const Environment& env, OfferingService& service,
+    const VehicleState& first, const VehicleState& second) {
+  CorridorCache cache(env.dataset.network.get(), CorridorCacheOptions{});
+  WorldRevisions revs;
+  OfferingTable received[2];
+  const VehicleState* order[2] = {&first, &second};
+  for (int i = 0; i < 2; ++i) {
+    const VehicleState& state = *order[i];
+    const uint64_t key = cache.KeyFor(state, 3, revs);
+    if (!cache.GetInto(key, state.time, &received[i])) {
+      service.RankFresh(cache.CanonicalState(state), 3, &received[i]);
+      cache.Put(key, received[i], state.time);
+    }
+  }
+  EXPECT_EQ(cache.inserts(), 1u) << "key-mates must share one entry";
+  return {received[0], received[1]};
+}
+
+// Regression: the key names a state's return places by node (or, without
+// one, by 100 m grid cell), so the canonical anchor must not keep the
+// exact return points — otherwise whichever key-mate missed first decided
+// the table every bucket-mate received.
+TEST_F(CorridorCacheTest, KeyMatesWithDifferentReturnPointsShareOneTable) {
+  // Unrefined tables keep the estimated derouting interval, which prices
+  // the Euclidean way back to the exact return points.
+  EcoChargeOptions unrefined;
+  unrefined.refine_exact_derouting = false;
+  OfferingService service(env_->estimator.get(), env_->charger_index.get(),
+                          ScoreWeights::AWE(), unrefined);
+  CorridorCache keys(env_->dataset.network.get(), CorridorCacheOptions{});
+  WorldRevisions revs;
+
+  // Same return nodes, different exact return points.
+  VehicleState a = states_[0];
+  ASSERT_NE(a.return_node_a, kInvalidNode);
+  ASSERT_NE(a.return_node_b, kInvalidNode);
+  VehicleState b = a;
+  b.return_point_a.x += 37.0;
+  b.return_point_b.y -= 23.0;
+
+  // No return nodes: the two states share each return point's grid cell.
+  auto cell_point = [](const Point& p, double dx, double dy) {
+    return Point{std::floor(p.x / 100.0) * 100.0 + dx,
+                 std::floor(p.y / 100.0) * 100.0 + dy};
+  };
+  VehicleState c = a;
+  c.return_node_a = kInvalidNode;
+  c.return_node_b = kInvalidNode;
+  c.return_point_a = cell_point(a.return_point_a, 10.0, 20.0);
+  c.return_point_b = cell_point(a.return_point_b, 30.0, 5.0);
+  VehicleState d = c;
+  d.return_point_a = cell_point(a.return_point_a, 85.0, 60.0);
+  d.return_point_b = cell_point(a.return_point_b, 70.0, 95.0);
+
+  const std::pair<const VehicleState*, const VehicleState*> pairs[] = {
+      {&a, &b}, {&c, &d}};
+  for (const auto& [x, y] : pairs) {
+    ASSERT_EQ(keys.KeyFor(*x, 3, revs), keys.KeyFor(*y, 3, revs));
+    // The exact return points do reach the ranking, so only the anchor
+    // can make the key-mates agree.
+    OfferingTable raw_x, raw_y;
+    service.RankFresh(*x, 3, &raw_x);
+    service.RankFresh(*y, 3, &raw_y);
+    EXPECT_FALSE(TablesBitIdentical(raw_x, raw_y));
+
+    const auto [x_first, y_second] = ServeInOrder(*env_, service, *x, *y);
+    const auto [y_first, x_second] = ServeInOrder(*env_, service, *y, *x);
+    EXPECT_TRUE(TablesBitIdentical(x_first, y_second));
+    EXPECT_TRUE(TablesBitIdentical(y_first, x_second));
+    EXPECT_TRUE(TablesBitIdentical(x_first, y_first));
+  }
+}
+
+// Per-thread stats cells lose no lookup: every GetInto counts exactly one
+// hit or miss, and the registry mirrors agree with stats().
+TEST_F(CorridorCacheTest, StatsStayExactUnderConcurrency) {
+  CorridorCacheOptions options;
+  options.ttl_s = 40.0;
+  options.num_shards = 4;
+  CorridorCache cache(env_->dataset.network.get(), options);
+  obs::MetricsRegistry registry;
+  cache.AttachMetrics(&registry);
+  OfferingTable table;
+  table.entries.resize(2);
+
+  constexpr int kThreads = 6;
+  constexpr int kOpsPerThread = 2000;
+  constexpr uint64_t kKeys = 20;
+  std::atomic<long> tick{0};
+  std::atomic<uint64_t> lookups{0};
+  // Rounds of three ops on one key: a Put, a fresh lookup, and a lookup
+  // far past the TTL that expires what it finds. Rounds race on a shared
+  // key range; a thread that runs alone still hits and expires.
+  auto worker = [&](int tid) {
+    OfferingTable out;
+    uint64_t issued = 0;
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      const double now = static_cast<double>(tick.fetch_add(1));
+      const uint64_t key = static_cast<uint64_t>(i / 3 * 7 + tid) % kKeys;
+      if (i % 3 == 0) {
+        cache.Put(key, table, now);
+      } else {
+        cache.GetInto(key, i % 3 == 1 ? now : now + 3.0 * options.ttl_s,
+                      &out);
+        ++issued;
+      }
+    }
+    lookups.fetch_add(issued);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (std::thread& t : threads) t.join();
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.expirations, 0u);
+  EXPECT_EQ(registry.FindCounter("fleet.corridor.hits")->Value(), stats.hits);
+  EXPECT_EQ(registry.FindCounter("fleet.corridor.misses")->Value(),
+            stats.misses);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 #include "server/offering_server.h"
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ch/ch_customize.h"
 #include "core/offering_service.h"
 #include "core/protocol.h"
 #include "tests/test_util.h"
@@ -220,6 +222,41 @@ TEST_F(OfferingServerTest, WorkersShareOneInformationServer) {
   EXPECT_GT(eis.weather_api_calls + eis.availability_api_calls +
                 eis.traffic_api_calls,
             0u);
+}
+
+// Regression: the CH plane cache lives in the environment and outlives
+// every server. A destroyed server must unhook the cache from its
+// registry — else the next customization writes into freed counters
+// (caught under scripts/check.sh address) — but must leave a newer
+// server's registry attached.
+TEST_F(OfferingServerTest, DestroyedServerDetachesChPlaneCache) {
+  auto env = TinyEnvironment(60, 42, DeroutingBackend::kCh);
+  ASSERT_NE(env, nullptr);
+  ASSERT_NE(env->ch_cache, nullptr);
+  OfferingServerOptions options;
+  options.threads = 1;
+  auto older = std::make_unique<OfferingServer>(
+      env.get(), ScoreWeights::AWE(), EcoChargeOptions{}, options);
+  auto newer = std::make_unique<OfferingServer>(
+      env.get(), ScoreWeights::AWE(), EcoChargeOptions{}, options);
+  const obs::Counter* misses =
+      newer->metrics().FindCounter("ch.cache.misses");
+  ASSERT_NE(misses, nullptr);
+
+  older.reset();  // the cache points at newer's registry: keep it
+  const uint64_t before = misses->Value();
+  ChClassWeights first;
+  first.w[0] = 1.7;
+  first.w[1] = 2.3;
+  first.w[2] = 3.1;
+  ASSERT_NE(env->ch_cache->Get(first), nullptr);
+  EXPECT_EQ(misses->Value(), before + 1);
+
+  newer.reset();  // now the cache must let go of the freed registry
+  ChClassWeights second = first;
+  second.w[2] = 4.2;
+  EXPECT_NE(env->ch_cache->Get(second), nullptr);
+  EXPECT_EQ(env->ch_cache->builds(), 2u);
 }
 
 }  // namespace

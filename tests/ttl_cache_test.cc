@@ -455,5 +455,68 @@ TEST(TtlCacheConcurrencyTest, ConcurrentReadersAtExactDeadlineAllHit) {
   EXPECT_EQ(cache.size(), static_cast<size_t>(kKeys));
 }
 
+TEST(TtlCacheConcurrencyTest, CountersStayExactUnderConcurrency) {
+  // Per-thread counter cells must lose nothing: with more threads than
+  // cells some threads share a cell, and every lookup still counts once.
+  // Mixed traffic: Puts, fresh Gets, Gets far past the TTL (expirations),
+  // and stale-tolerant lookups, all on a shared key range.
+  constexpr double kTtl = 50.0;
+  constexpr int kThreads = 6;
+  constexpr int kOpsPerThread = 3000;
+  constexpr int kKeys = 24;
+  TtlCache<int, int> cache(kTtl, 1 << 10, /*num_shards=*/4);
+  obs::MetricsRegistry registry;
+  obs::Counter* hits = registry.GetCounter("hits");
+  obs::Counter* misses = registry.GetCounter("misses");
+  obs::Counter* expirations = registry.GetCounter("expirations");
+  cache.AttachCounters(hits, misses, expirations);
+  std::atomic<long> tick{0};
+  std::atomic<uint64_t> lookups{0};
+
+  // Rounds of four ops on one key: a Put, a fresh Get, a stale-tolerant
+  // lookup, and a Get far past the TTL that expires what it finds. The
+  // threads' rounds race on a shared key range; a thread that happens to
+  // run alone still produces hits and expirations.
+  auto worker = [&](int tid) {
+    uint64_t issued = 0;
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      const double now = static_cast<double>(tick.fetch_add(1));
+      const int key = (i / 4 * 5 + tid * 7) % kKeys;
+      switch (i % 4) {
+        case 0:
+          cache.Put(key, i, now);
+          break;
+        case 1:
+          cache.Get(key, now);
+          ++issued;
+          break;
+        case 2: {
+          bool fresh = false;
+          cache.GetAllowStale(key, now, &fresh);
+          ++issued;
+          break;
+        }
+        default:
+          cache.Get(key, now + 4.0 * kTtl);
+          ++issued;
+          break;
+      }
+    }
+    lookups.fetch_add(issued);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (std::thread& t : threads) t.join();
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.expirations, 0u);
+  EXPECT_LE(stats.expirations, stats.misses);
+  EXPECT_EQ(hits->Value(), stats.hits);
+  EXPECT_EQ(misses->Value(), stats.misses);
+  EXPECT_EQ(expirations->Value(), stats.expirations);
+}
+
 }  // namespace
 }  // namespace ecocharge
