@@ -1,34 +1,38 @@
-// Fleet-scale serving bench and gate: QPS + latency percentiles vs shard
-// count, corridor-cache sharing, and the parity discipline under load.
+// Fleet-scale serving bench and gate for the shared serving state of the
+// one OfferingServer: the cross-user corridor cache and RCU world-epoch
+// refreshes, measured as QPS + latency percentiles against worker count.
 //
-// Three asserting gates (exit 1 on violation):
-//   1. Bit-parity: shards x threads must not change a single served bit —
+// Two asserting gates (exit 1 on violation):
+//   1. Bit-parity: worker threads must not change a single served bit —
 //      every (client, sequence) slot's table digest must match the
-//      single-shard synchronous run, with and without the corridor cache.
+//      synchronous (threads = 0) run, with and without the corridor cache.
 //   2. Corridor sharing: on a fleet trace (many vehicles over the same
 //      trips), the corridor hit rate must be substantial — the cache is
 //      the mechanism that makes the 1M-request row feasible at all.
-//   3. I/O-bound scaling: with a per-request simulated upstream stall,
-//      QPS at 4 shards must be >= 1.5x the single-shard QPS (each shard
-//      owns its own worker pool; stalls overlap across shards even on a
-//      single core).
 //
-// Full mode routes ~1M requests through the sharded runtime (feasible
-// because the corridor cache turns the steady state into hits); --quick
-// shrinks every phase for CI. Writes BENCH_fleet.json.
+// The thread sweep runs with a per-request simulated upstream stall, so
+// its QPS column shows how far extra workers overlap I/O; every row names
+// its worker count, and comparisons between rows are at that count.
+//
+// Full mode routes ~1M requests through the server (feasible because the
+// corridor cache turns the steady state into hits); --quick shrinks every
+// phase for CI. Writes BENCH_fleet.json.
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/table_writer.h"
 #include "core/protocol.h"
-#include "fleet/fleet_server.h"
 #include "obs/metrics.h"
+#include "server/corridor_cache.h"
+#include "server/offering_server.h"
+#include "server/world_epochs.h"
 
 using namespace ecocharge;
 using bench::BenchConfig;
@@ -41,56 +45,54 @@ struct RunResult {
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  fleet::FleetStats stats;
+  OfferingServerStats stats;
   double corridor_hit_rate = 0.0;
+  uint64_t corridor_inserts = 0;
+  uint64_t epoch = 0;
 };
 
-std::unique_ptr<fleet::FleetServer> MakeFleet(bench::PreparedWorld& world,
-                                              size_t shards, int threads,
-                                              bool corridor,
-                                              size_t queue_depth,
-                                              double io_ms) {
-  fleet::FleetServerOptions options;
-  options.partition.num_shards = shards;
-  options.threads_per_shard = threads;
-  options.corridor_cache = corridor;
-  options.server.queue_depth = queue_depth;
-  options.server.simulated_io_ms = io_ms;
-  auto result = fleet::FleetServer::Create(world.env.get(),
-                                           ScoreWeights::AWE(),
-                                           EcoChargeOptions{}, options);
-  if (!result.ok()) {
-    std::cerr << "fleet: " << result.status() << "\n";
-    std::exit(1);
-  }
-  return std::move(result).MoveValueUnsafe();
-}
-
-/// Runs `num_requests` over `num_clients` walking vehicles. When
+/// Runs `num_requests` over `num_clients` walking vehicles on one server
+/// with `threads` workers, publishing a world refresh (weather,
+/// availability, traffic in turn) every `refresh_every` requests. When
 /// `digests` is non-null it receives one per-(client, sequence) table
 /// digest — each slot written exactly once, by whichever worker serves
 /// that request — so threaded runs compare against the synchronous
 /// reference slot by slot.
-RunResult RunPoint(bench::PreparedWorld& world, size_t shards, int threads,
-                   bool corridor, size_t num_requests, size_t num_clients,
-                   double io_ms, uint64_t refresh_every,
-                   std::vector<uint64_t>* digests) {
-  auto fleet = MakeFleet(world, shards, threads, corridor, num_requests,
-                         io_ms);
+RunResult RunPoint(bench::PreparedWorld& world, int threads, bool corridor,
+                   size_t num_requests, size_t num_clients, double io_ms,
+                   uint64_t refresh_every, std::vector<uint64_t>* digests) {
+  // The server borrows both, so they are declared first and outlive it.
+  std::unique_ptr<CorridorCache> cache;
+  WorldEpochs epochs(static_cast<size_t>(std::max(1, threads)));
+  OfferingServerOptions options;
+  options.threads = threads;
+  options.queue_depth = num_requests;
+  options.simulated_io_ms = io_ms;
+  options.epochs = &epochs;
+  if (corridor) {
+    cache = std::make_unique<CorridorCache>(world.env->dataset.network.get(),
+                                            CorridorCacheOptions{});
+    options.corridor = cache.get();
+  }
+  OfferingServer server(world.env.get(), ScoreWeights::AWE(),
+                        EcoChargeOptions{}, options);
+  if (cache) cache->AttachMetrics(&server.metrics());
   if (digests) digests->assign(num_requests, 0);
 
   using Clock = std::chrono::steady_clock;
   Clock::time_point start = Clock::now();
   for (size_t i = 0; i < num_requests; ++i) {
-    if (refresh_every > 0 && i > 0 && i % refresh_every == 0) {
-      size_t state_index =
-          (i % num_clients + i / num_clients) % world.states.size();
-      fleet->PublishRefresh(
-          static_cast<fleet::RefreshKind>((i / refresh_every) % 3),
-          world.states[state_index].time);
-    }
     size_t state_index =
         (i % num_clients + i / num_clients) % world.states.size();
+    if (refresh_every > 0 && i > 0 && i % refresh_every == 0) {
+      epochs.Publish(world.states[state_index].time,
+                     [kind = (i / refresh_every) % 3](WorldSnapshot* s) {
+                       uint64_t* revisions[] = {&s->revisions.weather,
+                                                &s->revisions.availability,
+                                                &s->revisions.traffic};
+                       ++*revisions[kind];
+                     });
+    }
     std::function<void(const OfferingTable&)> on_table;
     if (digests) {
       uint64_t* slot = &(*digests)[i];
@@ -100,30 +102,34 @@ RunResult RunPoint(bench::PreparedWorld& world, size_t shards, int threads,
     } else {
       on_table = [](const OfferingTable&) {};
     }
-    Status st = fleet->Submit(i % num_clients, world.states[state_index], 3,
+    Status st = server.Submit(i % num_clients, world.states[state_index], 3,
                               std::move(on_table));
     if (!st.ok()) {
       std::cerr << "submit: " << st << "\n";
       std::exit(1);
     }
   }
-  fleet->Drain();
+  server.Drain();
   RunResult result;
   result.elapsed_s =
       std::chrono::duration<double>(Clock::now() - start).count();
-  result.stats = fleet->Stats();
+  result.stats = server.Stats();
   result.qps = result.elapsed_s > 0.0
-                   ? static_cast<double>(result.stats.totals.served) /
+                   ? static_cast<double>(result.stats.served) /
                          result.elapsed_s
                    : 0.0;
-  uint64_t lookups =
-      result.stats.corridor.hits + result.stats.corridor.misses;
-  result.corridor_hit_rate =
-      lookups > 0 ? static_cast<double>(result.stats.corridor.hits) /
-                        static_cast<double>(lookups)
-                  : 0.0;
+  if (cache) {
+    CacheStats cs = cache->stats();
+    uint64_t lookups = cs.hits + cs.misses;
+    result.corridor_hit_rate =
+        lookups > 0 ? static_cast<double>(cs.hits) /
+                          static_cast<double>(lookups)
+                    : 0.0;
+    result.corridor_inserts = cache->inserts();
+  }
+  result.epoch = epochs.current_epoch();
   const obs::Histogram* latency =
-      fleet->metrics().FindHistogram("fleet.request_latency_ns");
+      server.metrics().FindHistogram("server.request_latency_ns");
   ECOCHARGE_CHECK(latency != nullptr);
   obs::HistogramSnapshot snap = latency->Snapshot();
   result.p50_ms = static_cast<double>(snap.ValueAtQuantile(0.50)) / 1e6;
@@ -149,66 +155,60 @@ int main(int argc, char** argv) {
   size_t sweep_requests = quick ? 160 : 480;
   size_t bulk_requests = quick ? 20000 : 1000000;
   size_t num_clients = 48;
+  constexpr int kGateThreads = 8;  // the worker count gate 2 is read at
 
   bench::PreparedWorld world = bench::Prepare(DatasetKind::kOldenburg, cfg);
   bench::BenchJsonWriter json;
 
-  // --- Gate 1: bit-parity across shard and thread counts. -----------------
-  std::cout << "=== Gate 1: sharded serving is bit-identical ===\n";
+  // --- Gate 1: bit-parity across thread counts. ---------------------------
+  std::cout << "=== Gate 1: threaded serving is bit-identical ===\n";
   bool parity_ok = true;
   for (bool corridor : {false, true}) {
     std::vector<uint64_t> reference;
-    RunPoint(world, 1, 0, corridor, parity_requests, num_clients, 0.0,
+    RunPoint(world, 0, corridor, parity_requests, num_clients, 0.0,
              /*refresh_every=*/0, &reference);
-    for (size_t shards : {2u, 4u}) {
-      for (int threads : {0, 2}) {
-        std::vector<uint64_t> digests;
-        RunPoint(world, shards, threads, corridor, parity_requests,
-                 num_clients, 0.0, /*refresh_every=*/0, &digests);
-        bool same = digests == reference;
-        parity_ok = parity_ok && same;
-        std::cout << "  " << (corridor ? "corridor" : "handoff ")
-                  << " shards=" << shards << " threads=" << threads << ": "
-                  << (same ? "bit-identical" : "MISMATCH") << "\n";
-      }
+    for (int threads : {2, 4}) {
+      std::vector<uint64_t> digests;
+      RunPoint(world, threads, corridor, parity_requests, num_clients, 0.0,
+               /*refresh_every=*/0, &digests);
+      bool same = digests == reference;
+      parity_ok = parity_ok && same;
+      std::cout << "  " << (corridor ? "corridor" : "dynamic ")
+                << " threads=" << threads << ": "
+                << (same ? "bit-identical" : "MISMATCH") << "\n";
     }
   }
   ECOCHARGE_CHECK(parity_ok);
 
-  // --- Gate 2 + 3: QPS/latency vs shard count, corridor sharing. ----------
-  std::cout << "\n=== Shard sweep (" << sweep_requests << " requests, "
+  // --- Gate 2: corridor sharing; QPS/latency vs worker count. -------------
+  std::cout << "\n=== Thread sweep (" << sweep_requests << " requests, "
             << io_ms << " ms simulated upstream stall) ===\n";
-  TableWriter table({"Shards", "Threads/shard", "Corridor", "QPS",
-                     "p50 [ms]", "p95 [ms]", "p99 [ms]", "Handoffs",
-                     "Hit rate", "Epoch"});
-  double qps_one_shard = 0.0;
-  double qps_four_shards = 0.0;
+  TableWriter table({"Workers", "Corridor", "QPS", "p50 [ms]", "p95 [ms]",
+                     "p99 [ms]", "Hit rate", "Epoch"});
   double corridor_hit_rate = 0.0;
-  for (size_t shards : {1u, 2u, 4u, 8u}) {
+  for (int threads : {2, 4, kGateThreads}) {
     for (bool corridor : {false, true}) {
-      RunResult r = RunPoint(world, shards, 2, corridor, sweep_requests,
+      RunResult r = RunPoint(world, threads, corridor, sweep_requests,
                              num_clients, io_ms, /*refresh_every=*/64,
                              nullptr);
-      if (!corridor && shards == 1) qps_one_shard = r.qps;
-      if (!corridor && shards == 4) qps_four_shards = r.qps;
-      if (corridor && shards == 4) corridor_hit_rate = r.corridor_hit_rate;
+      if (corridor && threads == kGateThreads) {
+        corridor_hit_rate = r.corridor_hit_rate;
+      }
       ECOCHARGE_CHECK(
           table
-              .AddRow({std::to_string(shards), "2",
-                       corridor ? "yes" : "no", TableWriter::Fmt(r.qps, 1),
+              .AddRow({std::to_string(threads), corridor ? "yes" : "no",
+                       TableWriter::Fmt(r.qps, 1),
                        TableWriter::Fmt(r.p50_ms, 2),
                        TableWriter::Fmt(r.p95_ms, 2),
                        TableWriter::Fmt(r.p99_ms, 2),
-                       std::to_string(r.stats.clients.handoffs),
                        TableWriter::Fmt(r.corridor_hit_rate, 2),
-                       std::to_string(r.stats.epoch)})
+                       std::to_string(r.epoch)})
               .ok());
       json.BeginRecord();
       json.Str("bench", "fleet");
-      json.Str("phase", "shard_sweep");
+      json.Str("phase", "thread_sweep");
       json.Str("dataset", "Oldenburg");
-      json.Num("shards", static_cast<double>(shards));
-      json.Num("threads_per_shard", 2);
+      json.Num("threads", threads);
       json.Num("corridor", corridor ? 1 : 0);
       json.Num("requests", static_cast<double>(sweep_requests));
       json.Num("clients", static_cast<double>(num_clients));
@@ -218,54 +218,44 @@ int main(int argc, char** argv) {
       json.Num("p50_ms", r.p50_ms);
       json.Num("p95_ms", r.p95_ms);
       json.Num("p99_ms", r.p99_ms);
-      json.Num("served", static_cast<double>(r.stats.totals.served));
-      json.Num("handoffs", static_cast<double>(r.stats.clients.handoffs));
-      json.Num("handoff_waits", static_cast<double>(r.stats.clients.waits));
+      json.Num("served", static_cast<double>(r.stats.served));
       json.Num("corridor_hit_rate", r.corridor_hit_rate);
-      json.Num("corridor_inserts",
-               static_cast<double>(r.stats.corridor_inserts));
-      json.Num("epoch", static_cast<double>(r.stats.epoch));
+      json.Num("corridor_inserts", static_cast<double>(r.corridor_inserts));
+      json.Num("epoch", static_cast<double>(r.epoch));
     }
   }
   table.RenderText(std::cout);
 
-  double scaling = qps_one_shard > 0.0 ? qps_four_shards / qps_one_shard
-                                       : 0.0;
-  std::cout << "\nI/O-inclusive scaling, 4 shards vs 1: "
-            << TableWriter::Fmt(scaling, 2) << "x (floor 1.5x)\n"
-            << "corridor hit rate at 4 shards: "
+  std::cout << "\ncorridor hit rate at " << kGateThreads << " workers: "
             << TableWriter::Fmt(corridor_hit_rate, 2) << " (floor 0.20)\n";
-  ECOCHARGE_CHECK(scaling >= 1.5);
   ECOCHARGE_CHECK(corridor_hit_rate > 0.20);
 
   // --- Bulk row: the fleet-trace headline (~1M requests in full mode). ----
   std::cout << "\n=== Bulk corridor trace (" << bulk_requests
             << " requests, no stall) ===\n";
-  RunResult bulk = RunPoint(world, 8, 2, /*corridor=*/true, bulk_requests,
-                            num_clients, 0.0, /*refresh_every=*/8192,
-                            nullptr);
-  std::cout << "  " << bulk.stats.totals.served << " served in "
+  RunResult bulk = RunPoint(world, kGateThreads, /*corridor=*/true,
+                            bulk_requests, num_clients, 0.0,
+                            /*refresh_every=*/8192, nullptr);
+  std::cout << "  " << bulk.stats.served << " served in "
             << TableWriter::Fmt(bulk.elapsed_s, 2) << " s ("
             << TableWriter::Fmt(bulk.qps, 0) << " QPS), corridor hit rate "
             << TableWriter::Fmt(bulk.corridor_hit_rate, 3) << ", p99 "
             << TableWriter::Fmt(bulk.p99_ms, 3) << " ms, epoch "
-            << bulk.stats.epoch << "\n";
-  ECOCHARGE_CHECK(bulk.stats.totals.served == bulk_requests);
+            << bulk.epoch << "\n";
+  ECOCHARGE_CHECK(bulk.stats.served == bulk_requests);
   ECOCHARGE_CHECK(bulk.corridor_hit_rate > 0.5);
   json.BeginRecord();
   json.Str("bench", "fleet");
   json.Str("phase", "bulk_corridor");
   json.Str("dataset", "Oldenburg");
-  json.Num("shards", 8);
-  json.Num("threads_per_shard", 2);
+  json.Num("threads", kGateThreads);
   json.Num("requests", static_cast<double>(bulk_requests));
   json.Num("elapsed_s", bulk.elapsed_s);
   json.Num("qps", bulk.qps);
   json.Num("p50_ms", bulk.p50_ms);
   json.Num("p99_ms", bulk.p99_ms);
   json.Num("corridor_hit_rate", bulk.corridor_hit_rate);
-  json.Num("handoffs", static_cast<double>(bulk.stats.clients.handoffs));
-  json.Num("epoch", static_cast<double>(bulk.stats.epoch));
+  json.Num("epoch", static_cast<double>(bulk.epoch));
 
   if (!json.WriteFile("BENCH_fleet.json")) {
     std::cerr << "failed to write BENCH_fleet.json\n";

@@ -33,15 +33,16 @@
 #                                    # (scalar-vs-SIMD bit parity on all
 #                                    # spatial backends + SoA speedup
 #                                    # floor; emits BENCH_score.json)
-#   scripts/check.sh fleet           # fleet-serving gate: partition /
-#                                    # epoch / corridor / handoff suites
-#                                    # under TSan (the RCU pin/publish
-#                                    # protocol and cross-shard ticket
-#                                    # waits are the racy surface), then
-#                                    # the asserting bench_fleet (bit
-#                                    # parity across shard counts +
-#                                    # corridor hit-rate and QPS scaling
-#                                    # floors; emits BENCH_fleet.json)
+#   scripts/check.sh fleet           # fleet-serving gate: epoch /
+#                                    # corridor / server suites under
+#                                    # TSan (the RCU pin/publish protocol
+#                                    # and the shared corridor cache are
+#                                    # the racy surface), then the
+#                                    # asserting bench_fleet (bit parity
+#                                    # across thread counts with the
+#                                    # corridor cache on and off + the
+#                                    # corridor hit-rate floor; emits
+#                                    # BENCH_fleet.json)
 #   scripts/check.sh chpar           # customization gate: the CH
 #                                    # customization / plane-cache /
 #                                    # parity suites (plus the CLI smoke)
@@ -72,16 +73,15 @@ chpar_gate=""
 case "${sanitize}" in
   address|undefined|thread) shift ;;
   fleet)
-    # The fleet runtime's concurrency surface: the WorldEpochs Dekker
-    # pin/publish protocol, cross-shard ticket waits in the ClientStore,
-    # the sharded corridor cache, and every shard's worker pool sharing
-    # them. Run those suites under TSan, then hold the parity / hit-rate /
-    # scaling floors with the asserting bench from a plain Release tree
-    # (sanitized timings are meaningless).
+    # The shared serving state's concurrency surface: the WorldEpochs
+    # Dekker pin/publish protocol, the lock-sharded corridor cache, and the
+    # server's worker pool sharing them. Run those suites under TSan, then
+    # hold the parity / hit-rate floors with the asserting bench from a
+    # plain Release tree (sanitized timings are meaningless).
     shift
     sanitize="thread"
     fleet_gate=1
-    set -- -R 'Fleet|GeoPartition|WorldEpochs|ClientStore|Corridor|OfferingServer|TtlCache|QueryContext' "$@"
+    set -- -R 'WorldEpochs|Corridor|OfferingServer|TtlCache|QueryContext' "$@"
     ;;
   chpar)
     # The customization subsystem's concurrency surface: the level-parallel

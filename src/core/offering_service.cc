@@ -34,15 +34,6 @@ EcoChargeRanker& OfferingService::FreshRanker() {
   return *fresh_ranker_;
 }
 
-EcoChargeRanker& OfferingService::SharedRanker() {
-  if (!shared_ranker_) {
-    shared_ranker_ = std::make_unique<EcoChargeRanker>(
-        estimator_, charger_index_, weights_, options_);
-    shared_ranker_->set_metrics(pipeline_metrics_);
-  }
-  return *shared_ranker_;
-}
-
 void OfferingService::AttachMetrics(obs::MetricsRegistry* registry) {
   pipeline_metrics_ =
       registry ? PipelineMetrics::FromRegistry(registry) : PipelineMetrics{};
@@ -50,7 +41,6 @@ void OfferingService::AttachMetrics(obs::MetricsRegistry* registry) {
     if (client.ranker) client.ranker->set_metrics(pipeline_metrics_);
   }
   if (fresh_ranker_) fresh_ranker_->set_metrics(pipeline_metrics_);
-  if (shared_ranker_) shared_ranker_->set_metrics(pipeline_metrics_);
 }
 
 void OfferingService::RankInto(uint64_t client_id, const VehicleState& state,
@@ -68,18 +58,6 @@ void OfferingService::RankFresh(const VehicleState& state, size_t k,
   ++stats_.requests;
   FreshRanker().RankInto(state, k, ctx_, out);
   ++stats_.tables_served;
-}
-
-void OfferingService::RankWithCache(const VehicleState& state, size_t k,
-                                    DynamicCacheState* cache,
-                                    OfferingTable* out) {
-  ++stats_.requests;
-  EcoChargeRanker& ranker = SharedRanker();
-  ranker.SwapCacheState(cache);
-  ranker.RankInto(state, k, ctx_, out);
-  ranker.SwapCacheState(cache);
-  ++stats_.tables_served;
-  if (out->adapted_from_cache) ++stats_.cache_adaptations;
 }
 
 OfferingTable OfferingService::Rank(uint64_t client_id,

@@ -50,18 +50,10 @@ class OfferingService {
 
   /// Ranks `state` with Dynamic Caching disabled: a fresh filter + score +
   /// refine pass whose result depends only on the state and the world —
-  /// not on any per-client history. The fleet corridor cache ranks
-  /// canonical anchor states through this path, so the stored table is
-  /// identical no matter which vehicle, worker, or shard computed it.
+  /// not on any per-client history. The corridor cache ranks canonical
+  /// anchor states through this path, so the stored table is identical no
+  /// matter which vehicle or worker computed it.
   void RankFresh(const VehicleState& state, size_t k, OfferingTable* out);
-
-  /// Ranks `state` against an externally owned Dynamic Cache state: the
-  /// contents of `*cache` are swapped into a service-shared ranker for the
-  /// duration of the call and swapped back out (both O(1), no allocation).
-  /// The fleet runtime keeps each vehicle's caching state in a central
-  /// store and carries it across shard handoffs through this call.
-  void RankWithCache(const VehicleState& state, size_t k,
-                     DynamicCacheState* cache, OfferingTable* out);
 
   /// Drops the cached state of every client idle since before `now`.
   void EvictIdleClients(SimTime now);
@@ -83,12 +75,6 @@ class OfferingService {
   size_t active_clients() const { return clients_.size(); }
   const OfferingServiceStats& stats() const { return stats_; }
 
-  /// The table most recently served by Handle() — the wire path's reply
-  /// before encoding, so callers can account for flags (cache adaptation,
-  /// degradation) that the encoded string hides. Valid until the next
-  /// Handle() on this instance.
-  const OfferingTable& reply_table() const { return table_; }
-
   /// Resolves the `pipeline.*` handles on `registry` and installs them on
   /// every client ranker — including ones created lazily later, so the
   /// attach order relative to client arrival doesn't matter. Null detaches.
@@ -105,7 +91,6 @@ class OfferingService {
 
   ClientState& ClientFor(uint64_t client_id);
   EcoChargeRanker& FreshRanker();
-  EcoChargeRanker& SharedRanker();
 
   EcEstimator* estimator_;
   const SpatialIndex* charger_index_;
@@ -113,8 +98,7 @@ class OfferingService {
   EcoChargeOptions options_;
   double client_ttl_s_;
   std::unordered_map<uint64_t, ClientState> clients_;
-  std::unique_ptr<EcoChargeRanker> fresh_ranker_;   // Dynamic Caching off
-  std::unique_ptr<EcoChargeRanker> shared_ranker_;  // external cache state
+  std::unique_ptr<EcoChargeRanker> fresh_ranker_;  // Dynamic Caching off
   OfferingServiceStats stats_;
   PipelineMetrics pipeline_metrics_;  // applied to every client ranker
 

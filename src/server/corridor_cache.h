@@ -29,9 +29,8 @@ struct CorridorCacheOptions {
   /// vehicles minutes apart see the same L/A/D forecasts anyway).
   double eta_bucket_s = 5.0 * kSecondsPerMinute;
 
-  /// Lock shards (rounded up to a power of two). Sized to contention:
-  /// the fleet runtime raises it with the worker count, mirroring
-  /// EisOptions::cache_shards.
+  /// Lock shards (rounded up to a power of two). Sized to contention,
+  /// like EisOptions::cache_shards.
   size_t num_shards = 16;
 
   /// Per-shard entry cap; at capacity a shard drops expired entries and,
@@ -59,9 +58,9 @@ struct CorridorCacheOptions {
 /// bucket start, position snapped to the network node, trip identity
 /// zeroed — ranked fresh with per-client caching disabled. The stored
 /// value is therefore a pure function of (key, world revisions): any
-/// worker on any shard that misses computes the identical bytes, so
-/// first-writer-wins insertion is race-free by value and sharded serving
-/// stays bit-identical to single-shard serving.
+/// worker that misses computes the identical bytes, so first-writer-wins
+/// insertion is race-free by value and threaded serving stays
+/// bit-identical to inline serving.
 ///
 /// World revisions are folded into the key, so an epoch publish makes the
 /// previous epoch's corridors unreachable (they age out by TTL) without

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ch/ch_customize.h"
+#include "common/logging.h"
 #include "core/protocol.h"
 
 namespace ecocharge {
@@ -50,6 +51,8 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
   }
 
   size_t num_workers = threads_ == 0 ? 1 : static_cast<size_t>(threads_);
+  ECOCHARGE_CHECK(options_.epochs == nullptr ||
+                  options_.epochs->max_readers() >= num_workers);
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -63,7 +66,7 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
         env_->estimator->options(), shared_eis_.get());
     worker->service = std::make_unique<OfferingService>(
         worker->estimator.get(), env_->charger_index.get(), weights,
-        eco_options, options_.client_ttl_s);
+        eco_options);
     // Pre-size the batched-refinement scratch to the configured refine
     // limit so no worker allocates in the refinement phase, even on its
     // very first request.
@@ -98,27 +101,41 @@ size_t OfferingServer::WorkerIndexFor(uint64_t client_id) const {
   return static_cast<size_t>(h % workers_.size());
 }
 
+Status OfferingServer::ValidateRequest(const VehicleState& state,
+                                       size_t k) const {
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  const size_t num_nodes = env_->dataset.network->NumNodes();
+  for (NodeId node :
+       {state.node, state.return_node_a, state.return_node_b}) {
+    if (node != kInvalidNode && node >= num_nodes) {
+      return Status::InvalidArgument("node " + std::to_string(node) +
+                                     " is outside the network");
+    }
+  }
+  return Status::OK();
+}
+
 Status OfferingServer::Submit(uint64_t client_id, const VehicleState& state,
-                              size_t k, TableCallback on_table,
-                              uint64_t client_seq) {
+                              size_t k, TableCallback on_table) {
+  if (Status valid = ValidateRequest(state, k); !valid.ok()) {
+    malformed_->Add();
+    return valid;
+  }
   Request request;
   request.client_id = client_id;
   request.state = state;
   request.k = k;
   request.on_table = std::move(on_table);
-  request.client_seq = client_seq;
   return SubmitRequest(std::move(request));
 }
 
 Status OfferingServer::SubmitWire(uint64_t client_id, std::string wire,
-                                  ReplyCallback on_reply,
-                                  uint64_t client_seq) {
+                                  ReplyCallback on_reply) {
   Request request;
   request.client_id = client_id;
   request.is_wire = true;
   request.wire = std::move(wire);
   request.on_reply = std::move(on_reply);
-  request.client_seq = client_seq;
   return SubmitRequest(std::move(request));
 }
 
@@ -148,7 +165,6 @@ Status OfferingServer::SubmitRequest(Request request) {
 
 void OfferingServer::ServeTable(Worker& worker, const VehicleState& state,
                                 size_t k, uint64_t client_id,
-                                uint64_t client_seq,
                                 const WorldRevisions* revisions) {
   if (options_.corridor != nullptr) {
     // Corridor mode: serve the canonical corridor table — the paper's
@@ -192,17 +208,6 @@ void OfferingServer::ServeTable(Worker& worker, const VehicleState& state,
     }
     return;
   }
-  if (options_.client_store != nullptr) {
-    // Fleet handoff mode: the vehicle's Dynamic Cache state lives in the
-    // central store and is leased around the rank, so it follows the
-    // vehicle across shards; the ticket wait preserves per-client FIFO
-    // even when the previous request is still draining on another shard.
-    options_.client_store->CheckOut(client_id, client_seq, &worker.lease);
-    worker.service->RankWithCache(state, k, &worker.lease, &worker.table);
-    options_.client_store->CheckIn(client_id, client_seq, &worker.lease,
-                                   state.time);
-    return;
-  }
   // worker.table is the worker's long-lived reply buffer (like the
   // QueryContext, it reaches its high-water capacity and stays there).
   worker.service->RankInto(client_id, state, k, &worker.table);
@@ -228,49 +233,39 @@ void OfferingServer::Serve(Worker& worker, Request& request) {
   std::optional<ScopedWorldRevisions> world;
   const WorldRevisions* revisions = nullptr;
   if (options_.epochs != nullptr) {
-    pin.emplace(
-        options_.epochs->Pin(options_.epoch_reader_base + worker.index));
+    pin.emplace(options_.epochs->Pin(worker.index));
     revisions = &pin->snapshot().revisions;
     world.emplace(*revisions);
   }
-  bool fleet_mode =
-      options_.corridor != nullptr || options_.client_store != nullptr;
-  if (request.is_wire && !fleet_mode) {
-    Result<std::string> reply =
-        worker.service->Handle(request.client_id, request.wire);
-    if (!reply.ok()) {
-      malformed_->Add();
-    } else {
-      // The encoded reply hides the table's flags; read them off the
-      // service's reply buffer so wire serving accounts like table serving.
-      if (worker.service->reply_table().adapted_from_cache) {
-        cache_adaptations_->Add();
-      }
-      if (worker.service->reply_table().degraded) degraded_tables_->Add();
-    }
-    if (request.on_reply) request.on_reply(reply);
-  } else if (request.is_wire) {
-    // Fleet wire path: decode here so the corridor / client-store table
-    // core below serves both forms identically.
+  // Wire requests are decoded and validated here, on the worker (table
+  // requests were validated in Submit), so both forms share the one table
+  // core below; a frame that fails either step is answered with its error
+  // and never reaches the ranker.
+  Status status;
+  if (request.is_wire) {
     Result<OfferingRequest> decoded = DecodeOfferingRequest(request.wire);
-    if (!decoded.ok()) {
-      malformed_->Add();
-      if (request.on_reply) request.on_reply(decoded.status());
-    } else {
-      ServeTable(worker, decoded.value().state, decoded.value().k,
-                 request.client_id, request.client_seq, revisions);
-      if (worker.table.adapted_from_cache) cache_adaptations_->Add();
-      if (worker.table.degraded) degraded_tables_->Add();
+    status = decoded.status();
+    if (decoded.ok()) {
+      request.state = decoded.value().state;
+      request.k = decoded.value().k;
+      status = ValidateRequest(request.state, request.k);
+    }
+  }
+  if (!status.ok()) {
+    malformed_->Add();
+    if (request.on_reply) request.on_reply(status);
+  } else {
+    ServeTable(worker, request.state, request.k, request.client_id,
+               revisions);
+    if (worker.table.adapted_from_cache) cache_adaptations_->Add();
+    if (worker.table.degraded) degraded_tables_->Add();
+    if (request.is_wire) {
       if (request.on_reply) {
         request.on_reply(EncodeOfferingTable(worker.table));
       }
+    } else if (request.on_table) {
+      request.on_table(worker.table);
     }
-  } else {
-    ServeTable(worker, request.state, request.k, request.client_id,
-               request.client_seq, revisions);
-    if (worker.table.adapted_from_cache) cache_adaptations_->Add();
-    if (worker.table.degraded) degraded_tables_->Add();
-    if (request.on_table) request.on_table(worker.table);
   }
   served_->Add();
   auto elapsed = std::chrono::steady_clock::now() - request.submitted_at;
@@ -278,9 +273,6 @@ void OfferingServer::Serve(Worker& worker, Request& request) {
       0, std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
              .count()));
   request_latency_->Record(latency_ns);
-  if (options_.extra_latency != nullptr) {
-    options_.extra_latency->Record(latency_ns);
-  }
 }
 
 void OfferingServer::FinishOne() {

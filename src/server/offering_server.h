@@ -19,7 +19,6 @@
 #include "eis/world_revisions.h"
 #include "resilience/resilient_information_server.h"
 #include "server/bounded_queue.h"
-#include "server/client_store.h"
 #include "server/corridor_cache.h"
 #include "server/world_epochs.h"
 
@@ -39,9 +38,6 @@ struct OfferingServerOptions {
 
   /// Shards per EIS response cache (see EisOptions::cache_shards).
   size_t eis_cache_shards = 16;
-
-  /// Per-client ranker state is dropped after this much idle sim time.
-  double client_ttl_s = kSecondsPerHour;
 
   /// When > 0, each request handler blocks this long to emulate the
   /// upstream-fetch / response-write I/O of the real Mode-2 deployment
@@ -63,34 +59,20 @@ struct OfferingServerOptions {
   /// `resilient_eis` is on; <= 0 serves with an unbounded budget.
   double request_deadline_ms = 250.0;
 
-  // --- Fleet-serving hooks (all borrowed; null = stand-alone server). ---
+  // --- Shared serving state (borrowed; null = off). The owner must
+  // outlive the server. ---
 
   /// RCU world-version source. When set, every request pins the current
   /// snapshot (two atomic stores, no mutex) and serves under its
   /// revisions via ScopedWorldRevisions, so refresh publishes never stall
-  /// the read path. The owner must outlive the server.
+  /// the read path. Worker i pins reader slot i, so `epochs` needs at
+  /// least max(1, threads) reader slots.
   WorldEpochs* epochs = nullptr;
 
-  /// This server's reader-slot range in `epochs`: worker i pins slot
-  /// `epoch_reader_base + i`. The fleet runtime hands each shard a
-  /// disjoint range.
-  size_t epoch_reader_base = 0;
-
-  /// Cross-user corridor cache. When set, the table path serves the
+  /// Cross-user corridor cache. When set, every request is served the
   /// canonical corridor table (hit: copy out; miss: rank the canonical
   /// anchor fresh and insert) instead of per-client Dynamic Caching.
   CorridorCache* corridor = nullptr;
-
-  /// Fleet-central per-client cache state (ignored when `corridor` is
-  /// set). When set, requests carry router-assigned tickets and each
-  /// request checks its client's Dynamic Cache state out around the rank,
-  /// so the warm solution follows the vehicle across shard handoffs.
-  ClientStore* client_store = nullptr;
-
-  /// Extra latency sink shared across shards (e.g. the fleet-level
-  /// `fleet.request_latency_ns`); recorded alongside the server's own
-  /// histogram when non-null.
-  obs::Histogram* extra_latency = nullptr;
 };
 
 /// \brief Counter snapshot of one server instance (plain values).
@@ -98,7 +80,7 @@ struct OfferingServerStats {
   uint64_t accepted = 0;   ///< submissions admitted to a queue (or inline)
   uint64_t rejected = 0;   ///< submissions refused: queue full or shut down
   uint64_t served = 0;     ///< requests fully processed (incl. malformed)
-  uint64_t malformed = 0;  ///< wire requests that failed to decode
+  uint64_t malformed = 0;  ///< requests that failed decode or validation
   uint64_t cache_adaptations = 0;  ///< tables served via Dynamic Caching
   uint64_t degraded_tables = 0;  ///< tables carrying a degradation flag
 };
@@ -116,6 +98,9 @@ struct OfferingServerStats {
 /// concurrent reads: the immutable environment (network, chargers,
 /// spatial index), the pure-function forecast services, and one
 /// InformationServer whose TTL caches are sharded with per-shard mutexes.
+/// Two optional hooks add the borrowed cross-vehicle state: the corridor
+/// cache (canonical tables shared by bucket-mates, a pure function of key
+/// and world revisions) and the world epochs (RCU refresh publishes).
 ///
 /// Requests are routed to workers by client id hash, which gives every
 /// client a stable worker and therefore FIFO processing of its own
@@ -143,18 +128,18 @@ class OfferingServer {
   OfferingServer& operator=(const OfferingServer&) = delete;
 
   /// Enqueues a ranking request for `client_id`; `on_table` receives the
-  /// Offering Table on the serving worker. Returns kUnavailable when the
-  /// client's worker queue is full, kFailedPrecondition after Shutdown().
-  /// `client_seq` is the router-assigned per-client ticket, used only
-  /// when `client_store` is configured (the fleet runtime supplies it;
-  /// stand-alone callers leave it 0).
+  /// Offering Table on the serving worker. Returns kInvalidArgument for
+  /// a request that fails ValidateRequest (counted as malformed, never
+  /// queued), kUnavailable when the client's worker queue is full,
+  /// kFailedPrecondition after Shutdown().
   Status Submit(uint64_t client_id, const VehicleState& state, size_t k,
-                TableCallback on_table, uint64_t client_seq = 0);
+                TableCallback on_table);
 
-  /// Wire-protocol form: decodes an OfferingRequest, serves it, and hands
-  /// `on_reply` the encoded Offering Table (or the decode error).
+  /// Wire-protocol form: the serving worker decodes and validates the
+  /// OfferingRequest, serves it, and hands `on_reply` the encoded Offering
+  /// Table — or the decode / validation error, counted as malformed.
   Status SubmitWire(uint64_t client_id, std::string wire,
-                    ReplyCallback on_reply, uint64_t client_seq = 0);
+                    ReplyCallback on_reply);
 
   /// Blocks until every accepted request has been served.
   void Drain();
@@ -200,7 +185,6 @@ class OfferingServer {
     size_t k = 3;
     TableCallback on_table;
     ReplyCallback on_reply;
-    uint64_t client_seq = 0;  ///< router ticket (client_store mode)
     /// Stamped at submission; the latency histogram spans queue wait +
     /// service time (what a vehicle actually experiences).
     std::chrono::steady_clock::time_point submitted_at{};
@@ -209,7 +193,7 @@ class OfferingServer {
   /// One worker's single-threaded serving stack. Only its owning thread
   /// (or the caller, in inline mode) ever touches estimator/service.
   struct Worker {
-    size_t index = 0;  ///< position in workers_, = epoch reader offset
+    size_t index = 0;  ///< position in workers_, = epoch reader slot
     std::unique_ptr<EcEstimator> estimator;
     std::unique_ptr<OfferingService> service;
     OfferingTable table;  ///< reusable reply buffer for the table path
@@ -217,18 +201,20 @@ class OfferingServer {
     /// live (it holds the table being returned) while future buckets are
     /// being speculatively filled, so prewarm ranks land here instead.
     OfferingTable prewarm_table;
-    DynamicCacheState lease;  ///< scratch for client-store checkouts
     std::unique_ptr<BoundedQueue<Request>> queue;  // null in inline mode
     obs::Gauge* queue_depth = nullptr;  ///< server.queue.depth.w{i}
     std::thread thread;
   };
 
   size_t WorkerIndexFor(uint64_t client_id) const;
+  /// The trust boundary: kInvalidArgument for k == 0 or a node id (the
+  /// position or either return node) outside the network. kInvalidNode
+  /// stays valid — it means "snap to the nearest node".
+  Status ValidateRequest(const VehicleState& state, size_t k) const;
   Status SubmitRequest(Request request);
   void Serve(Worker& worker, Request& request);
   void ServeTable(Worker& worker, const VehicleState& state, size_t k,
-                  uint64_t client_id, uint64_t client_seq,
-                  const WorldRevisions* revisions);
+                  uint64_t client_id, const WorldRevisions* revisions);
   void WorkerLoop(Worker& worker);
   void FinishOne();
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include "ch/ch_customize.h"
 #include "core/offering_service.h"
 #include "core/protocol.h"
+#include "server/corridor_cache.h"
+#include "server/world_epochs.h"
 #include "tests/test_util.h"
 
 namespace ecocharge {
@@ -257,6 +260,224 @@ TEST_F(OfferingServerTest, DestroyedServerDetachesChPlaneCache) {
   second.w[2] = 4.2;
   EXPECT_NE(env->ch_cache->Get(second), nullptr);
   EXPECT_EQ(env->ch_cache->builds(), 2u);
+}
+
+
+// The wire trust boundary: k == 0 or a node id outside the network is
+// rejected with kInvalidArgument and counted as malformed — on the wire
+// path (reply callback) and the table path (Submit's status) alike, with
+// and without the corridor cache — instead of being served as a silently
+// unreachable table. kInvalidNode ("snap to the nearest node") and a k
+// beyond the fleet size stay valid.
+TEST_F(OfferingServerTest, RejectsOutOfRangeRequestsAtTheBoundary) {
+  const NodeId past_end =
+      static_cast<NodeId>(env_->dataset.network->NumNodes());
+  OfferingRequest valid;
+  valid.state = states_[0];
+  valid.k = 3;
+  std::vector<OfferingRequest> invalid(4, valid);
+  invalid[0].k = 0;
+  invalid[1].state.node = past_end;
+  invalid[2].state.return_node_a = past_end;
+  invalid[3].state.return_node_b = past_end + 1000;
+  std::vector<OfferingRequest> accepted(3, valid);
+  accepted[0].state.node = kInvalidNode;
+  accepted[1].state.return_node_a = kInvalidNode;
+  accepted[1].state.return_node_b = kInvalidNode;
+  accepted[2].k = env_->chargers.size() + 50;
+
+  for (bool corridor_on : {false, true}) {
+    for (int threads : {0, 2}) {
+      SCOPED_TRACE(::testing::Message() << "corridor=" << corridor_on
+                                        << " threads=" << threads);
+      CorridorCache corridor(env_->dataset.network.get(),
+                             CorridorCacheOptions{});
+      OfferingServerOptions options;
+      options.threads = threads;
+      if (corridor_on) options.corridor = &corridor;
+      OfferingServer server(env_.get(), ScoreWeights::AWE(),
+                            EcoChargeOptions{}, options);
+
+      std::atomic<int> rejected{0};
+      std::atomic<int> served{0};
+      auto on_reply = [&](const Result<std::string>& reply) {
+        if (reply.ok()) {
+          if (DecodeOfferingTable(reply.value()).ok()) ++served;
+        } else if (reply.status().code() == StatusCode::kInvalidArgument) {
+          ++rejected;
+        }
+      };
+      for (const OfferingRequest& request : invalid) {
+        ASSERT_TRUE(
+            server.SubmitWire(1, EncodeOfferingRequest(request), on_reply)
+                .ok());
+      }
+      for (const OfferingRequest& request : accepted) {
+        ASSERT_TRUE(
+            server.SubmitWire(1, EncodeOfferingRequest(request), on_reply)
+                .ok());
+      }
+      server.Drain();
+      EXPECT_EQ(rejected.load(), static_cast<int>(invalid.size()));
+      EXPECT_EQ(served.load(), static_cast<int>(accepted.size()));
+
+      int table_callbacks = 0;
+      for (const OfferingRequest& request : invalid) {
+        Status st = server.Submit(2, request.state, request.k,
+                                  [&](const OfferingTable&) {
+                                    ++table_callbacks;
+                                  });
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+      }
+      server.Drain();
+      EXPECT_EQ(table_callbacks, 0);
+
+      OfferingServerStats stats = server.Stats();
+      EXPECT_EQ(stats.malformed, 2 * invalid.size());
+      EXPECT_EQ(stats.served, invalid.size() + accepted.size());
+    }
+  }
+}
+
+/// Serves `clients` vehicles over the fixture workload (client c's
+/// request seq rides state (seq + c) mod |states|, so vehicles share
+/// corridors at different points of the trace) and collects every table
+/// into a fixed (client, sequence) slot — each written exactly once, so
+/// threaded runs compare against inline position by position.
+std::vector<OfferingTable> ServeCorridorWorkload(
+    Environment* env, const std::vector<VehicleState>& states, int threads,
+    uint64_t clients, CorridorCache* corridor) {
+  OfferingServerOptions options;
+  options.threads = threads;
+  options.queue_depth = 4096;
+  options.corridor = corridor;
+  OfferingServer server(env, ScoreWeights::AWE(), EcoChargeOptions{},
+                        options);
+  const size_t per_client = states.size();
+  std::vector<OfferingTable> tables(clients * per_client);
+  for (size_t seq = 0; seq < per_client; ++seq) {
+    for (uint64_t c = 0; c < clients; ++c) {
+      OfferingTable* slot = &tables[c * per_client + seq];
+      Status st = server.Submit(c, states[(seq + c) % per_client], 3,
+                                [slot](const OfferingTable& t) { *slot = t; });
+      EXPECT_TRUE(st.ok()) << st;
+    }
+  }
+  server.Drain();
+  return tables;
+}
+
+// The corridor table is a pure function of (key, world revisions), so
+// thread count and hit-vs-miss order cannot change a single served bit.
+TEST_F(OfferingServerTest, CorridorModeBitIdenticalAcrossThreadCounts) {
+  constexpr uint64_t kClients = 6;
+  CorridorCache reference_cache(env_->dataset.network.get(),
+                                CorridorCacheOptions{});
+  std::vector<OfferingTable> reference = ServeCorridorWorkload(
+      env_.get(), states_, 0, kClients, &reference_cache);
+  // kClients vehicles share corridors, so the inline run must already
+  // serve most tables from the shared cache.
+  EXPECT_GT(reference_cache.stats().hits, 0u);
+  EXPECT_GT(reference_cache.inserts(), 0u);
+
+  for (int threads : {0, 2, 4}) {
+    CorridorCache cache(env_->dataset.network.get(), CorridorCacheOptions{});
+    std::vector<OfferingTable> tables =
+        ServeCorridorWorkload(env_.get(), states_, threads, kClients, &cache);
+    ASSERT_EQ(tables.size(), reference.size());
+    for (size_t i = 0; i < tables.size(); ++i) {
+      EXPECT_TRUE(TablesBitIdentical(tables[i], reference[i]))
+          << "threads=" << threads << " slot=" << i;
+    }
+  }
+}
+
+// Refresh publishes racing the serving workers: readers pin snapshots
+// while the writer retires ring slots; everything submitted is served,
+// the epoch advances by one per publish, and no pinned reader ever
+// deadlocks a publish. Run under TSan by scripts/check.sh fleet.
+TEST_F(OfferingServerTest, EpochPublishesDuringServing) {
+  constexpr int kThreads = 2;
+  constexpr int kPublishes = 50;
+  constexpr int kRequests = 200;
+  WorldEpochs epochs(kThreads);
+  OfferingServerOptions options;
+  options.threads = kThreads;
+  options.queue_depth = kRequests;
+  options.epochs = &epochs;
+  OfferingServer server(env_.get(), ScoreWeights::AWE(), EcoChargeOptions{},
+                        options);
+  std::atomic<int> served{0};
+  std::thread publisher([&] {
+    for (int i = 0; i < kPublishes; ++i) {
+      epochs.Publish(static_cast<SimTime>(i), [i](WorldSnapshot* s) {
+        uint64_t* revisions[] = {&s->revisions.weather,
+                                 &s->revisions.availability,
+                                 &s->revisions.traffic};
+        ++*revisions[i % 3];
+      });
+      std::this_thread::yield();
+    }
+  });
+  for (int i = 0; i < kRequests; ++i) {
+    Status st = server.Submit(i % 4, states_[i % states_.size()], 3,
+                              [&](const OfferingTable&) { ++served; });
+    ASSERT_TRUE(st.ok()) << st;
+  }
+  publisher.join();
+  server.Drain();
+  EXPECT_EQ(served.load(), kRequests);
+  EXPECT_EQ(server.Stats().served, static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(epochs.current_epoch(), 1u + kPublishes);
+}
+
+// Corridor mode over the wire: the worker decodes, serves the corridor
+// table, and replies with bytes that decode to exactly the table-path
+// result; a malformed frame is answered with its error, counted, and
+// never reaches the corridor cache.
+TEST_F(OfferingServerTest, CorridorWirePathAndMalformedFrames) {
+  CorridorCache table_cache(env_->dataset.network.get(),
+                            CorridorCacheOptions{});
+  OfferingServerOptions options;
+  options.corridor = &table_cache;
+  OfferingServer table_server(env_.get(), ScoreWeights::AWE(),
+                              EcoChargeOptions{}, options);
+  OfferingTable direct;
+  ASSERT_TRUE(table_server
+                  .Submit(9, states_[0], 3,
+                          [&](const OfferingTable& t) { direct = t; })
+                  .ok());
+
+  CorridorCache wire_cache(env_->dataset.network.get(),
+                           CorridorCacheOptions{});
+  options.corridor = &wire_cache;
+  OfferingServer wire_server(env_.get(), ScoreWeights::AWE(),
+                             EcoChargeOptions{}, options);
+  OfferingRequest request;
+  request.state = states_[0];
+  request.k = 3;
+  std::string reply;
+  ASSERT_TRUE(wire_server
+                  .SubmitWire(9, EncodeOfferingRequest(request),
+                              [&](const Result<std::string>& r) {
+                                ASSERT_TRUE(r.ok());
+                                reply = r.value();
+                              })
+                  .ok());
+  auto decoded = DecodeOfferingTable(reply);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(TablesBitIdentical(decoded.value(), direct));
+
+  bool got_error = false;
+  EXPECT_TRUE(wire_server
+                  .SubmitWire(9, "not a frame",
+                              [&](const Result<std::string>& r) {
+                                got_error = !r.ok();
+                              })
+                  .ok());
+  EXPECT_TRUE(got_error);
+  EXPECT_EQ(wire_server.Stats().malformed, 1u);
+  EXPECT_EQ(wire_cache.stats().hits + wire_cache.stats().misses, 1u);
 }
 
 }  // namespace

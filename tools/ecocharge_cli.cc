@@ -17,17 +17,19 @@
 //
 // Run with no arguments for usage.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 
 #include "core/baselines.h"
 #include "core/fleet_sim.h"
-#include "fleet/fleet_server.h"
 #include "core/load_balancer.h"
 #include "core/workload.h"
 #include "graph/generators.h"
@@ -85,6 +87,18 @@ class Args {
   }
   bool Has(const std::string& key) const {
     return values_.find(key) != values_.end();
+  }
+  /// kInvalidArgument naming the first flag outside `known`: a removed or
+  /// misspelled flag must fail loudly, not be silently ignored.
+  Status RejectUnknown(std::initializer_list<const char*> known) const {
+    for (const auto& [key, value] : values_) {
+      if (std::none_of(known.begin(), known.end(),
+                       [&key](const char* flag) { return key == flag; })) {
+        return Status::InvalidArgument("--" + key +
+                                       " is not a flag of this command");
+      }
+    }
+    return Status::OK();
   }
 
  private:
@@ -148,12 +162,12 @@ int Usage() {
   serve        --threads N [--kind KIND] [--chargers N] [--clients N]
                [--requests N] [--queue-depth N] [--io-ms MS] [--seed N]
                [--statsz] [--statsz-period SEC]
-               [--shards N] [--partition grid|bisect] [--corridor-cache]
-               [--corridor-bucket-s SEC] [--corridor-prewarm N]
-               [--refresh-every N]
+               [--corridor-cache] [--corridor-bucket-s SEC]
+               [--corridor-prewarm N] [--refresh-every N]
                [--fault-p P] [--fault-spike-p P] [--fault-stall-p P]
                [--fault-seed N] [--retry-attempts N] [--deadline-ms MS]
                [--resilient] [--no-batch-derouting] [--no-simd]
+               [ENV FLAGS]
                (--threads 0 = synchronous deterministic mode; --statsz
                prints a final JSON metrics dump to stdout, and with a
                period > 0 a live text dump to stderr every SEC seconds;
@@ -161,22 +175,24 @@ int Usage() {
                upstream faults and serves through the resilient EIS —
                retries, circuit breakers, stale/climatological
                degradation; --resilient enables the resilient EIS with
-               no injected faults; --shards N routes the workload through
-               the fleet runtime — N geographic shards with --threads
-               workers each, cross-shard handoff of Dynamic Cache state,
-               and RCU world-epoch refreshes every --refresh-every
-               requests; --corridor-cache shares Offering Tables across
-               vehicles on the same corridor, bucketed by
+               no injected faults; --corridor-cache shares Offering
+               Tables across vehicles on the same corridor, bucketed by
                --corridor-bucket-s seconds of ETA, and --corridor-prewarm
                speculatively fills that many future ETA buckets after
-               each corridor miss; rankings stay
-               bit-identical to single-shard serving either way)
+               each corridor miss; --refresh-every N publishes a new
+               world epoch (weather, availability, traffic in turn)
+               every N requests without stalling the workers; rankings
+               stay bit-identical to --threads 0 either way; any flag
+               not listed here is rejected)
   stats        [--kind KIND] [--chargers N] [--requests N] [--threads N]
-               [--format text|json] [--seed N] [--shards N]
+               [--format text|json] [--seed N] [ENV FLAGS]
                (run a small serving workload and print the metric catalog;
-               --shards N prints the fleet section plus one per-shard
-               statsz section per shard)
+               any flag not listed here is rejected)
   info
+
+  ENV FLAGS: [--scale S] [--index BACKEND] [--landmarks N]
+  [--graph-snapshot FILE.ecgs] [--derouting ch|exact] [--ch-threads N]
+  (the world the serving workload runs in, as for rank)
 
   BACKEND: quadtree|rtree|grid|kdtree|linear (charger index; every backend
   produces identical rankings — the choice only affects query time)
@@ -507,9 +523,16 @@ int Simulate(const Args& args) {
 
 /// Validates the serve flags up front so misconfigurations fail with a
 /// clear kInvalidArgument instead of being silently coerced (an unsigned
-/// parse would wrap "--threads -2" into a huge worker count) or starting
-/// a busy-looping statsz thread (period 0).
+/// parse would wrap "--threads -2" into a huge worker count), ignored (an
+/// unknown flag), or starting a busy-looping statsz thread (period 0).
 Status ValidateServeArgs(const Args& args) {
+  ECOCHARGE_RETURN_NOT_OK(args.RejectUnknown(
+      {"threads", "kind", "scale", "chargers", "seed", "index", "landmarks",
+       "graph-snapshot", "derouting", "ch-threads", "clients", "requests",
+       "queue-depth", "io-ms", "statsz", "statsz-period", "corridor-cache",
+       "corridor-bucket-s", "corridor-prewarm", "refresh-every", "fault-p",
+       "fault-spike-p", "fault-stall-p", "fault-seed", "retry-attempts",
+       "deadline-ms", "resilient", "no-batch-derouting", "no-simd"}));
   if (args.GetI64("threads", 0) < 0) {
     return Status::InvalidArgument(
         "--threads must be >= 0 (0 = synchronous deterministic mode)");
@@ -551,13 +574,6 @@ Status ValidateServeArgs(const Args& args) {
   if (args.GetDouble("deadline-ms", 250.0) <= 0.0) {
     return Status::InvalidArgument("--deadline-ms must be > 0");
   }
-  if (args.GetI64("shards", 1) < 1) {
-    return Status::InvalidArgument("--shards must be >= 1");
-  }
-  std::string partition = args.Get("partition", "bisect");
-  if (partition != "bisect" && partition != "grid") {
-    return Status::InvalidArgument("--partition must be grid or bisect");
-  }
   if (args.Has("corridor-bucket-s") &&
       args.GetDouble("corridor-bucket-s", 0.0) <= 0.0) {
     return Status::InvalidArgument(
@@ -568,117 +584,6 @@ Status ValidateServeArgs(const Args& args) {
         "--refresh-every must be >= 0 requests (0 = no refreshes)");
   }
   return Status::OK();
-}
-
-/// Fleet-runtime serve path (--shards / --corridor-cache): routes the
-/// wire workload through a FleetServer and reports per-shard serving,
-/// handoff, corridor, and epoch accounting.
-int ServeFleet(const Args& args, std::unique_ptr<Environment> env,
-               const OfferingServerOptions& server_opts,
-               const std::vector<VehicleState>& states) {
-  fleet::FleetServerOptions fleet_opts;
-  fleet_opts.partition.num_shards =
-      static_cast<size_t>(args.GetU64("shards", 1));
-  fleet_opts.partition.strategy = args.Get("partition", "bisect") == "grid"
-                                      ? fleet::PartitionStrategy::kGrid
-                                      : fleet::PartitionStrategy::kBisection;
-  fleet_opts.threads_per_shard = static_cast<int>(args.GetI64("threads", 0));
-  fleet_opts.corridor_cache = args.GetBool("corridor-cache");
-  if (args.Has("corridor-bucket-s")) {
-    fleet_opts.corridor.eta_bucket_s = args.GetDouble("corridor-bucket-s",
-                                                      300.0);
-  }
-  fleet_opts.corridor.prewarm_buckets =
-      static_cast<size_t>(args.GetU64("corridor-prewarm", 0));
-  fleet_opts.server = server_opts;
-  auto fleet_result = fleet::FleetServer::Create(
-      env.get(), ScoreWeights::AWE(), EcoOptionsFor(args, *env), fleet_opts);
-  if (!fleet_result.ok()) {
-    std::cerr << fleet_result.status() << "\n";
-    return 1;
-  }
-  auto fleet = std::move(fleet_result).MoveValueUnsafe();
-
-  uint64_t num_clients = args.GetU64("clients", 8);
-  uint64_t num_requests = args.GetU64("requests", 64);
-  uint64_t refresh_every = args.GetU64("refresh-every", 0);
-
-  bool statsz = args.GetBool("statsz");
-  double statsz_period_s = args.GetDouble("statsz-period", 0.0);
-  std::atomic<bool> statsz_stop{false};
-  std::thread statsz_thread;
-  if (statsz_period_s > 0.0) {
-    statsz_thread = std::thread([&fleet, &statsz_stop, statsz_period_s] {
-      while (!statsz_stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(statsz_period_s));
-        if (statsz_stop.load(std::memory_order_acquire)) break;
-        std::cerr << fleet->StatszAllText();
-      }
-    });
-  }
-
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < num_requests; ++i) {
-    if (refresh_every > 0 && i > 0 && i % refresh_every == 0) {
-      // Rotate through the upstreams so every refresh kind gets
-      // exercised; publishes interleave with in-flight requests.
-      fleet->PublishRefresh(
-          static_cast<fleet::RefreshKind>((i / refresh_every) % 3),
-          states[i % states.size()].time);
-    }
-    OfferingRequest request;
-    request.state = states[i % states.size()];
-    request.k = 3;
-    Status st = fleet->SubmitWire(i % num_clients,
-                                  EncodeOfferingRequest(request),
-                                  [](const Result<std::string>&) {});
-    if (!st.ok() && st.code() != StatusCode::kUnavailable) {
-      std::cerr << st << "\n";
-      return 1;
-    }
-  }
-  fleet->Drain();
-  double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  fleet::FleetStats stats = fleet->Stats();
-  std::cout << "served " << stats.totals.served << "/" << num_requests
-            << " requests (" << stats.totals.rejected << " shed) across "
-            << fleet->num_shards() << " shard(s) in " << elapsed_s << " s\n"
-            << "throughput: "
-            << (elapsed_s > 0.0 ? stats.totals.served / elapsed_s : 0.0)
-            << " req/s\n";
-  for (size_t i = 0; i < fleet->num_shards(); ++i) {
-    std::cout << "shard " << i << ": served=" << stats.per_shard[i].served
-              << " shed=" << stats.per_shard[i].rejected << " chargers="
-              << fleet->partition().chargers_in(static_cast<uint32_t>(i))
-              << "\n";
-  }
-  std::cout << "cross-shard handoffs: " << stats.clients.handoffs
-            << " (ticket waits: " << stats.clients.waits << ")\n";
-  if (fleet->corridor_cache()) {
-    uint64_t lookups = stats.corridor.hits + stats.corridor.misses;
-    std::cout << "corridor cache: hits=" << stats.corridor.hits
-              << " misses=" << stats.corridor.misses
-              << " inserts=" << stats.corridor_inserts
-              << " prewarmed=" << stats.corridor_prewarmed << " hit-rate="
-              << (lookups > 0
-                      ? static_cast<double>(stats.corridor.hits) / lookups
-                      : 0.0)
-              << "\n";
-  } else {
-    std::cout << "dynamic-cache adaptations: "
-              << stats.totals.cache_adaptations << "\n";
-  }
-  std::cout << "world epoch: " << stats.epoch << "\n";
-  if (statsz_thread.joinable()) {
-    statsz_stop.store(true, std::memory_order_release);
-    statsz_thread.join();
-  }
-  if (statsz) std::cout << fleet->StatszAllJson() << "\n";
-  return 0;
 }
 
 int Serve(const Args& args) {
@@ -728,13 +633,30 @@ int Serve(const Args& args) {
     server_opts.request_deadline_ms = args.GetDouble("deadline-ms", 250.0);
   }
 
-  // --shards / --corridor-cache switch to the fleet runtime; a single
-  // un-sharded OfferingServer serves the classic path below.
-  if (args.Has("shards") || args.GetBool("corridor-cache")) {
-    return ServeFleet(args, std::move(env), server_opts, states);
+  // --corridor-cache shares canonical corridor tables across vehicles;
+  // --refresh-every publishes world epochs that re-key the EIS and the
+  // corridor cache. Both are borrowed by the server, so they outlive it.
+  std::unique_ptr<CorridorCache> corridor;
+  if (args.GetBool("corridor-cache")) {
+    CorridorCacheOptions corridor_opts;
+    corridor_opts.eta_bucket_s =
+        args.GetDouble("corridor-bucket-s", corridor_opts.eta_bucket_s);
+    corridor_opts.prewarm_buckets =
+        static_cast<size_t>(args.GetU64("corridor-prewarm", 0));
+    corridor = std::make_unique<CorridorCache>(env->dataset.network.get(),
+                                               corridor_opts);
+    server_opts.corridor = corridor.get();
+  }
+  uint64_t refresh_every = args.GetU64("refresh-every", 0);
+  std::unique_ptr<WorldEpochs> epochs;
+  if (refresh_every > 0) {
+    epochs = std::make_unique<WorldEpochs>(
+        static_cast<size_t>(std::max(1, server_opts.threads)));
+    server_opts.epochs = epochs.get();
   }
   OfferingServer server(env.get(), ScoreWeights::AWE(),
                         EcoOptionsFor(args, *env), server_opts);
+  if (corridor) corridor->AttachMetrics(&server.metrics());
 
   uint64_t num_clients = args.GetU64("clients", 8);
   uint64_t num_requests = args.GetU64("requests", 64);
@@ -759,6 +681,17 @@ int Serve(const Args& args) {
 
   auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < num_requests; ++i) {
+    if (epochs && i > 0 && i % refresh_every == 0) {
+      // Rotate through the upstreams so every refresh kind gets
+      // exercised; publishes interleave with in-flight requests.
+      epochs->Publish(states[i % states.size()].time,
+                      [kind = (i / refresh_every) % 3](WorldSnapshot* s) {
+                        uint64_t* revisions[] = {&s->revisions.weather,
+                                                 &s->revisions.availability,
+                                                 &s->revisions.traffic};
+                        ++*revisions[kind];
+                      });
+    }
     OfferingRequest request;
     request.state = states[i % states.size()];
     request.k = 3;
@@ -791,6 +724,16 @@ int Serve(const Args& args) {
             << "\neis upstream calls: weather=" << eis.weather_api_calls
             << " traffic=" << eis.traffic_api_calls
             << " availability=" << eis.availability_api_calls << "\n";
+  if (corridor) {
+    CacheStats cs = corridor->stats();
+    uint64_t lookups = cs.hits + cs.misses;
+    std::cout << "corridor cache: hits=" << cs.hits << " misses="
+              << cs.misses << " inserts=" << corridor->inserts()
+              << " prewarmed=" << corridor->prewarmed() << " hit-rate="
+              << (lookups > 0 ? static_cast<double>(cs.hits) / lookups : 0.0)
+              << "\n";
+  }
+  if (epochs) std::cout << "world epoch: " << epochs->current_epoch() << "\n";
   if (resilience::ResilientInformationServer* res = server.resilient_eis()) {
     std::cout << "degraded tables: " << stats.degraded_tables << "\n";
     SimTime at = states.back().time;
@@ -813,6 +756,14 @@ int Serve(const Args& args) {
 }
 
 int StatsCmd(const Args& args) {
+  if (Status st = args.RejectUnknown({"kind", "scale", "chargers", "seed",
+                                      "index", "landmarks", "graph-snapshot",
+                                      "derouting", "ch-threads", "requests",
+                                      "threads", "format"});
+      !st.ok()) {
+    std::cerr << st << "\n";
+    return 1;
+  }
   auto env_result = BuildEnv(args);
   if (!env_result.ok()) {
     std::cerr << env_result.status() << "\n";
@@ -832,42 +783,6 @@ int StatsCmd(const Args& args) {
 
   uint64_t num_requests = args.GetU64("requests", 32);
   bool json = args.Get("format", "text") == "json";
-
-  // --shards: run the workload through the fleet runtime and print the
-  // fleet statsz section plus one per-shard section per shard.
-  if (args.Has("shards")) {
-    if (args.GetI64("shards", 1) < 1) {
-      std::cerr << Status::InvalidArgument("--shards must be >= 1") << "\n";
-      return 1;
-    }
-    fleet::FleetServerOptions fleet_opts;
-    fleet_opts.partition.num_shards =
-        static_cast<size_t>(args.GetU64("shards", 1));
-    fleet_opts.threads_per_shard = static_cast<int>(args.GetI64("threads",
-                                                                0));
-    auto fleet_result = fleet::FleetServer::Create(
-        env.get(), ScoreWeights::AWE(), EcoChargeOptions{}, fleet_opts);
-    if (!fleet_result.ok()) {
-      std::cerr << fleet_result.status() << "\n";
-      return 1;
-    }
-    auto fleet = std::move(fleet_result).MoveValueUnsafe();
-    for (uint64_t i = 0; i < num_requests; ++i) {
-      Status st = fleet->Submit(i % 4, states[i % states.size()], 3,
-                                [](const OfferingTable&) {});
-      if (!st.ok() && st.code() != StatusCode::kUnavailable) {
-        std::cerr << st << "\n";
-        return 1;
-      }
-    }
-    fleet->Drain();
-    if (json) {
-      std::cout << fleet->StatszAllJson() << "\n";
-    } else {
-      std::cout << fleet->StatszAllText();
-    }
-    return 0;
-  }
 
   OfferingServerOptions server_opts;
   server_opts.threads = static_cast<int>(args.GetU64("threads", 0));
