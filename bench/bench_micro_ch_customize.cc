@@ -1,14 +1,14 @@
 // CH customization gate: the cost of pricing the hierarchy for a
-// congestion bucket, across the three sweep strategies and the shared
-// plane cache.
+// congestion bucket with the one pull kernel — at 1 and 4 workers, full
+// and incremental — and through the shared plane cache.
 //
-// The binary asserts the tentpole's contract and exits 1 when it breaks:
-//   1. serial (threads=0), level-parallel (threads=2 and 4), and
-//      incremental sweeps produce bit-identical planes — costs AND via
-//      assignments — for every weight vector tried (unconditional);
-//   2. the 4-thread sweep is >= 2x faster than serial (asserted only when
-//      the machine has >= 4 hardware threads; waived with a message
-//      otherwise — parity above still ran);
+// The binary asserts the customizer's contract and exits 1 when it breaks:
+//   1. 1-worker, 2-worker, 4-worker, and incremental sweeps produce
+//      bit-identical planes — costs AND via assignments — for every
+//      weight vector tried (unconditional);
+//   2. the 4-worker sweep is >= 2x faster than the 1-worker sweep
+//      (asserted only when the machine has >= 4 hardware threads; waived
+//      with a message otherwise — parity above still ran);
 //   3. an incremental re-customization after a 2-class weight delta is
 //      >= 3x faster than a full sweep, and actually took the incremental
 //      path (the dirty estimate stayed under the fallback threshold);
@@ -180,28 +180,28 @@ int Main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // 1. Bit parity: serial vs 2-thread vs 4-thread vs incremental, every
-  //    bucket. Unconditional — this is the contract everything else
-  //    (planes cache, profile queries, Offering Table parity) rests on.
+  // 1. Bit parity: 1 vs 2 vs 4 workers vs incremental, every bucket.
+  //    Unconditional — this is the contract everything else (planes
+  //    cache, profile queries, Offering Table parity) rests on.
   // -------------------------------------------------------------------
-  ChCustomizer serial(*ch, 0);
+  ChCustomizer one(*ch, 1);
   ChCustomizer par2(*ch, 2);
   ChCustomizer par4(*ch, 4);
-  ChCustomizer inc(*ch, 0);
+  ChCustomizer inc(*ch, 1);
   std::shared_ptr<const ChCustomization> prev;
   size_t parity_planes = 0;
   for (const ChClassWeights& w : buckets) {
-    auto s = serial.Customize(w);
+    auto s = one.Customize(w);
     auto p2 = par2.Customize(w);
     auto p4 = par4.Customize(w);
     auto in = inc.CustomizeFrom(prev, w);
     if (!PlanesSameBits(*s, *p2) || !PlanesSameBits(*s, *p4)) {
-      std::cerr << "FAIL: parallel plane differs from serial at bucket "
+      std::cerr << "FAIL: parallel plane differs from 1 worker at bucket "
                 << parity_planes << "\n";
       ok = false;
     }
     if (!PlanesSameBits(*s, *in)) {
-      std::cerr << "FAIL: incremental plane differs from serial at bucket "
+      std::cerr << "FAIL: incremental plane differs from 1 worker at bucket "
                 << parity_planes << "\n";
       ok = false;
     }
@@ -209,36 +209,37 @@ int Main(int argc, char** argv) {
     ++parity_planes;
   }
   std::cout << "parity: " << parity_planes
-            << " buckets priced serial/2t/4t/incremental, planes "
+            << " buckets priced 1w/2w/4w/incremental, planes "
             << (ok ? "bit-identical" : "MISMATCHED") << "\n";
 
   // -------------------------------------------------------------------
-  // 2. Parallel speedup: 4 threads vs serial, interleaved min-of-rounds.
+  // 2. Parallel speedup: 4 workers vs 1, interleaved min-of-rounds.
   // -------------------------------------------------------------------
   const unsigned hw = std::thread::hardware_concurrency();
   const int kRounds = quick ? 3 : 5;
-  uint64_t serial_ns = UINT64_MAX, par_ns = UINT64_MAX;
+  uint64_t one_ns = UINT64_MAX, par_ns = UINT64_MAX;
   for (int round = 0; round < kRounds; ++round) {
     for (int side = 0; side < 2; ++side) {
       const bool run_par = (round + side) % 2 == 1;
-      ChCustomizer& c = run_par ? par4 : serial;
+      ChCustomizer& c = run_par ? par4 : one;
       const uint64_t start = NowNs();
       c.Customize(buckets[round % buckets.size()]);
       const uint64_t elapsed = NowNs() - start;
-      uint64_t& best = run_par ? par_ns : serial_ns;
+      uint64_t& best = run_par ? par_ns : one_ns;
       best = std::min(best, elapsed);
     }
   }
-  const double par_speedup = static_cast<double>(serial_ns) /
+  const double par_speedup = static_cast<double>(one_ns) /
                              static_cast<double>(std::max<uint64_t>(par_ns, 1));
-  std::cout << "full sweep: serial " << TableWriter::Fmt(serial_ns / 1e6, 1)
-            << " ms, 4 threads " << TableWriter::Fmt(par_ns / 1e6, 1)
+  std::cout << "full sweep: 1 worker " << TableWriter::Fmt(one_ns / 1e6, 1)
+            << " ms, " << par4.workers() << " workers "
+            << TableWriter::Fmt(par_ns / 1e6, 1)
             << " ms (" << TableWriter::Fmt(par_speedup, 2) << "x, "
-            << serial.num_levels() << " levels)\n";
+            << one.num_levels() << " levels)\n";
   const double par_floor = 2.0;
   if (hw >= 4 && par_speedup < par_floor) {
-    std::cerr << "FAIL: 4-thread customization only " << par_speedup
-              << "x over serial (floor " << par_floor << "x, "
+    std::cerr << "FAIL: 4-worker customization only " << par_speedup
+              << "x over 1 worker (floor " << par_floor << "x, "
               << hw << " hardware threads)\n";
     ok = false;
   } else if (hw < 4) {
@@ -264,7 +265,7 @@ int Main(int argc, char** argv) {
   {
     bool flag = false;
     auto inc_ref = inc.CustomizeFrom(base_plane, delta_w, &flag);
-    if (!PlanesSameBits(*serial.Customize(delta_w), *inc_ref)) {
+    if (!PlanesSameBits(*one.Customize(delta_w), *inc_ref)) {
       std::cerr << "FAIL: incremental 2-class-delta plane differs from a "
                    "full sweep\n";
       ok = false;
@@ -310,7 +311,7 @@ int Main(int argc, char** argv) {
   // 4. Shared cache dedup: N workers x B buckets must cost B builds.
   // -------------------------------------------------------------------
   const size_t kWorkers = 4;
-  ChCustomizationCache cache(*ch, /*threads=*/0);
+  ChCustomizationCache cache(*ch);
   {
     std::vector<std::thread> workers;
     workers.reserve(kWorkers);
@@ -346,9 +347,9 @@ int Main(int argc, char** argv) {
   json.Num("nodes", static_cast<double>(network->NumNodes()));
   json.Num("edges", static_cast<double>(network->NumEdges()));
   json.Num("arc_records", static_cast<double>(total));
-  json.Num("levels", static_cast<double>(serial.num_levels()));
+  json.Num("levels", static_cast<double>(one.num_levels()));
   json.Num("hardware_threads", static_cast<double>(hw));
-  json.Num("serial_ns", static_cast<double>(serial_ns));
+  json.Num("one_worker_ns", static_cast<double>(one_ns));
   json.Num("parallel4_ns", static_cast<double>(par_ns));
   json.Num("parallel_speedup", par_speedup);
   json.Num("parallel_floor", par_floor);

@@ -45,15 +45,18 @@
 #                                    # BENCH_fleet.json)
 #   scripts/check.sh chpar           # customization gate: the CH
 #                                    # customization / plane-cache /
-#                                    # parity suites (plus the CLI smoke)
-#                                    # under TSan — the shared
+#                                    # parity suites (plus the CLI smoke
+#                                    # and --ch-threads check) under
+#                                    # TSan — the shared
 #                                    # ChCustomizationCache's RCU publish
-#                                    # and the level-parallel sweep are
-#                                    # the racy surface — then the
-#                                    # asserting bench_micro_ch_customize
-#                                    # (bitwise sweep parity, parallel /
-#                                    # incremental speedup floors, cache
-#                                    # dedup floor; emits
+#                                    # and the level driver's barriers,
+#                                    # full and incremental, are the racy
+#                                    # surface — then the asserting
+#                                    # bench_micro_ch_customize (bitwise
+#                                    # parity of 1/2/4 workers and
+#                                    # incremental, 4-worker-over-1-worker
+#                                    # and incremental speedup floors,
+#                                    # cache dedup floor; emits
 #                                    # BENCH_ch_customize.json)
 #   scripts/check.sh lint            # clang-tidy over src/, tools/, and
 #                                    # the asserting bench gates (skips
@@ -84,18 +87,19 @@ case "${sanitize}" in
     set -- -R 'WorldEpochs|Corridor|OfferingServer|TtlCache|QueryContext' "$@"
     ;;
   chpar)
-    # The customization subsystem's concurrency surface: the level-parallel
-    # pull sweep's barrier rounds, the shared ChCustomizationCache's
-    # RCU-style copy/append/publish (hammered from workers crossing bucket
-    # boundaries while eviction churns), and the serving paths that pull
-    # planes out of it. Run those suites under TSan, then hold the bitwise
-    # sweep parity and the parallel / incremental / dedup floors with the
-    # asserting bench from a plain Release tree (sanitized timings are
-    # meaningless).
+    # The customization subsystem's concurrency surface: the level
+    # driver's barrier rounds (full and incremental sweeps), the shared
+    # ChCustomizationCache's RCU-style copy/append/publish (hammered from
+    # workers crossing bucket boundaries while eviction churns), and the
+    # serving paths that pull planes out of it. ChCustomiz covers the
+    # ChCustomizerTest, ChCustomizationCacheTest and ChCustomizeParityTest
+    # suites. Run those suites under TSan, then hold the bitwise parity and
+    # the parallel / incremental / dedup floors with the asserting bench
+    # from a plain Release tree (sanitized timings are meaningless).
     shift
     sanitize="thread"
     chpar_gate=1
-    set -- -R 'ChCustomiz|ChQuery|ChDerouting|ChProfile|EtaWindow|CliSmoke' "$@"
+    set -- -R 'ChCustomiz|ChQuery|ChDerouting|CliSmoke|ch_threads' "$@"
     ;;
   obs)
     # The metrics hot path is relaxed atomics shared across worker
@@ -137,11 +141,12 @@ case "${sanitize}" in
     ;;
   ch)
     # The contraction hierarchy is the second exact-derouting engine: raw
-    # mmap-ed CSR sections, a triangle-closure customization, and unpacking
-    # that must reproduce the Dijkstra oracle bit for bit. Run the CH,
-    # derouting, snapshot, and pipeline-parity suites under ASan and UBSan,
-    # then hold the backend-parity and speedup floors with the asserting
-    # bench from a plain Release tree (sanitized timings are meaningless).
+    # mmap-ed CSR sections (rank permutation included), the one pull
+    # customization kernel, and unpacking that must reproduce the Dijkstra
+    # oracle bit for bit. Run the CH, derouting, snapshot, and
+    # pipeline-parity suites under ASan and UBSan, then hold the
+    # backend-parity and speedup floors with the asserting bench from a
+    # plain Release tree (sanitized timings are meaningless).
     shift
     ch_filter='Ch|Derouting|Snapshot|GraphIo|CrossIndexParity|Dijkstra'
     for san in address undefined; do

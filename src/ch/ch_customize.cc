@@ -6,6 +6,8 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <thread>
 
 #include "graph/shortest_path.h"
@@ -123,84 +125,80 @@ void ChExpandItem(const ChIndex& ch, const ChCustomization& plane,
 ChCustomizer::ChCustomizer(const ChIndex& ch, int threads)
     : ch_(ch), threads_(threads) {}
 
-void ChCustomizer::EnsureOrder() {
-  std::call_once(order_once_, [this] {
-    const size_t n = ch_.NumNodes();
-    order_.resize(n);
-    for (NodeId v = 0; v < n; ++v) order_[ch_.rank(v)] = v;
-  });
-}
-
-const std::vector<NodeId>& ChCustomizer::order() {
-  EnsureOrder();
-  return order_;
-}
-
 size_t ChCustomizer::total_arcs() const {
   return ch_.NumUpArcs() + ch_.NumDownArcs();
 }
 
 void ChCustomizer::EnsurePull() {
   std::call_once(pull_once_, [this] {
-    EnsureOrder();
     const size_t n = ch_.NumNodes();
     const auto up = ch_.up_arcs();
     const auto down = ch_.down_arcs();
     const auto up_off = ch_.up_offsets();
     const auto down_off = ch_.down_offsets();
+    std::vector<NodeId> order(n);  // rank -> node
+    for (NodeId v = 0; v < n; ++v) order[ch_.rank(v)] = v;
 
     // Contraction levels: level(v) = 1 + max level over lower neighbors.
     // Walking nodes by ascending rank makes every propagation x -> f flow
     // from an already-final level (all of f's lower neighbors outrank-
     // precede f), so one pass suffices.
-    level_of_.assign(n, 0);
+    std::vector<uint32_t> level_of(n, 0);
     uint32_t max_level = 0;
-    for (size_t r = 0; r < n; ++r) {
-      const NodeId x = order_[r];
-      const uint32_t lx = level_of_[x] + 1;
+    for (NodeId x : order) {
+      const uint32_t lx = level_of[x] + 1;
       for (uint32_t i = up_off[x]; i < up_off[x + 1]; ++i) {
-        level_of_[up[i].node] = std::max(level_of_[up[i].node], lx);
+        level_of[up[i].node] = std::max(level_of[up[i].node], lx);
       }
       for (uint32_t i = down_off[x]; i < down_off[x + 1]; ++i) {
-        level_of_[down[i].node] = std::max(level_of_[down[i].node], lx);
+        level_of[down[i].node] = std::max(level_of[down[i].node], lx);
       }
-      max_level = std::max(max_level, level_of_[x]);
+      max_level = std::max(max_level, level_of[x]);
     }
     // Nodes grouped by level, ascending rank inside each group (the fill
     // below walks ranks in order, so the counting sort is stable in rank).
     level_offsets_.assign(max_level + 2, 0);
-    for (NodeId v = 0; v < n; ++v) ++level_offsets_[level_of_[v] + 1];
+    for (NodeId v = 0; v < n; ++v) ++level_offsets_[level_of[v] + 1];
+    uint32_t widest = 0;
     for (size_t l = 1; l < level_offsets_.size(); ++l) {
+      widest = std::max(widest, level_offsets_[l]);
       level_offsets_[l] += level_offsets_[l - 1];
     }
     level_order_.resize(n);
     std::vector<uint32_t> cursor(level_offsets_.begin(),
                                  level_offsets_.end() - 1);
-    for (size_t r = 0; r < n; ++r) {
-      const NodeId v = order_[r];
-      level_order_[cursor[level_of_[v]]++] = v;
-    }
+    for (NodeId v : order) level_order_[cursor[level_of[v]]++] = v;
+
+    // More workers than the machine has threads, or than the widest level
+    // has nodes, only add barrier traffic.
+    const int hw = static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+    workers_ = std::max(
+        1, std::min({threads_, hw, static_cast<int>(std::max(1u, widest))}));
+
+    far_up_.resize(up.size());
+    far_down_.resize(down.size());
+    for (size_t i = 0; i < up.size(); ++i) far_up_[i] = up[i].node;
+    for (size_t i = 0; i < down.size(); ++i) far_down_[i] = down[i].node;
 
     // Inverted lower-neighbor index: for owner l, every apex x with an
     // l-run in its up row (arcs x -> l) or down row (arcs l -> x), plus
     // where that run starts. Filling by ascending rank of x leaves each
-    // owner's entry list sorted by apex rank — exactly the candidate
-    // application order the push sweep uses.
+    // owner's entry list sorted by apex rank — the candidate application
+    // order the kernel's strict-< tie-break rests on.
     inv_up_offsets_.assign(n + 1, 0);
     inv_down_offsets_.assign(n + 1, 0);
+    const auto for_each_run = [](const NodeId* far, uint32_t begin,
+                                 uint32_t end, auto&& fn) {
+      for (uint32_t i = begin; i < end; ++i) {
+        if (i == begin || far[i - 1] != far[i]) fn(far[i], i);
+      }
+    };
     for (NodeId x = 0; x < n; ++x) {
-      for (uint32_t i = up_off[x]; i < up_off[x + 1];) {
-        const NodeId f = up[i].node;
-        ++inv_up_offsets_[f + 1];
-        for (++i; i < up_off[x + 1] && up[i].node == f; ++i) {
-        }
-      }
-      for (uint32_t i = down_off[x]; i < down_off[x + 1];) {
-        const NodeId f = down[i].node;
-        ++inv_down_offsets_[f + 1];
-        for (++i; i < down_off[x + 1] && down[i].node == f; ++i) {
-        }
-      }
+      for_each_run(far_up_.data(), up_off[x], up_off[x + 1],
+                   [&](NodeId f, uint32_t) { ++inv_up_offsets_[f + 1]; });
+      for_each_run(far_down_.data(), down_off[x], down_off[x + 1],
+                   [&](NodeId f, uint32_t) { ++inv_down_offsets_[f + 1]; });
     }
     for (size_t v = 1; v <= n; ++v) {
       inv_up_offsets_[v] += inv_up_offsets_[v - 1];
@@ -212,22 +210,22 @@ void ChCustomizer::EnsurePull() {
                                     inv_up_offsets_.end() - 1);
     std::vector<uint32_t> down_cursor(inv_down_offsets_.begin(),
                                       inv_down_offsets_.end() - 1);
-    for (size_t r = 0; r < n; ++r) {
-      const NodeId x = order_[r];
-      for (uint32_t i = up_off[x]; i < up_off[x + 1];) {
-        const NodeId f = up[i].node;
-        inv_up_entries_[up_cursor[f]++] = {x, i};
-        for (++i; i < up_off[x + 1] && up[i].node == f; ++i) {
-        }
-      }
-      for (uint32_t i = down_off[x]; i < down_off[x + 1];) {
-        const NodeId f = down[i].node;
-        inv_down_entries_[down_cursor[f]++] = {x, i};
-        for (++i; i < down_off[x + 1] && down[i].node == f; ++i) {
-        }
-      }
+    for (NodeId x : order) {
+      for_each_run(far_up_.data(), up_off[x], up_off[x + 1],
+                   [&](NodeId f, uint32_t i) {
+                     inv_up_entries_[up_cursor[f]++] = {x, i};
+                   });
+      for_each_run(far_down_.data(), down_off[x], down_off[x + 1],
+                   [&](NodeId f, uint32_t i) {
+                     inv_down_entries_[down_cursor[f]++] = {x, i};
+                   });
     }
   });
+}
+
+int ChCustomizer::workers() {
+  EnsurePull();
+  return workers_;
 }
 
 size_t ChCustomizer::num_levels() {
@@ -251,8 +249,9 @@ void ChCustomizer::EnsureMasks() {
     // Closure sweep: the mask analogue of customization. The cost sweep
     // takes a min over candidate triangles; which candidate wins depends on
     // the weights, so the mask is the union over ALL candidates (every
-    // record of both contributing runs). Processing owners by ascending
-    // rank closes the union transitively: an arc's final mask covers the
+    // record of both contributing runs). Processing owners level by level
+    // (every apex sits on a lower level than the owner) closes the union
+    // transitively: an arc's final mask covers the
     // classes of every arc reachable through any realization of it.
     // Run ORs are bounded by the owning row's end: a run never spans rows
     // even when adjacent rows happen to end/start with the same neighbor.
@@ -268,8 +267,7 @@ void ChCustomizer::EnsureMasks() {
       for (; i < row_end && up[i].node == f; ++i) m |= mask_up_[i];
       return m;
     };
-    for (size_t r = 0; r < n; ++r) {
-      const NodeId l = order_[r];
+    for (const NodeId l : level_order_) {
       // Up-arc targets (l -> h): candidates need apex x with l in its down
       // row and h in its up row.
       for (uint32_t e = inv_down_offsets_[l]; e < inv_down_offsets_[l + 1];
@@ -331,8 +329,8 @@ void ChCustomizer::EnsureMasks() {
     }
 
     // Per-node row masks (the cheap whole-node skip) and the per-delta
-    // dirty-work estimates, counted per record — RepriceNode touches
-    // exactly the records whose closure intersects the delta.
+    // dirty-work estimates, counted per record — an incremental sweep
+    // re-prices exactly the records whose closure intersects the delta.
     node_mask_.assign(n, 0);
     for (NodeId v = 0; v < n; ++v) {
       uint8_t m = 0;
@@ -342,7 +340,7 @@ void ChCustomizer::EnsureMasks() {
       }
       node_mask_[v] = m;
     }
-    for (uint8_t delta = 1; delta < 8; ++delta) {
+    for (uint8_t delta = 1; delta <= kAllClasses; ++delta) {
       size_t dirty = 0;
       for (uint8_t m : mask_up_) dirty += (m & delta) != 0;
       for (uint8_t m : mask_down_) dirty += (m & delta) != 0;
@@ -353,7 +351,7 @@ void ChCustomizer::EnsureMasks() {
 
 size_t ChCustomizer::DirtyArcEstimate(uint8_t changed_mask) {
   EnsureMasks();
-  return dirty_arcs_by_mask_[changed_mask & 7];
+  return dirty_arcs_by_mask_[changed_mask & kAllClasses];
 }
 
 uint8_t ChCustomizer::UpArcMask(size_t i) {
@@ -366,361 +364,122 @@ uint8_t ChCustomizer::DownArcMask(size_t i) {
   return mask_down_[i];
 }
 
-void ChCustomizer::CustomizeSerial(const ChClassWeights& weights,
-                                   ChCustomization* plane) const {
-  const size_t n = ch_.NumNodes();
-  const auto up = ch_.up_arcs();
-  const auto down = ch_.down_arcs();
-  auto& cw_up = plane->cw_up;
-  auto& cw_down = plane->cw_down;
-  // Base costs: original arcs priced with the weights (one class is
-  // nonzero, so the dot product is exactly length * weight); shortcut arcs
-  // start unpriced and receive their cost from a triangle below.
-  for (size_t i = 0; i < up.size(); ++i) {
-    cw_up[i] =
-        up[i].orig == kChShortcutEdge ? kInfiniteCost : Dot(up[i].len, weights);
+namespace {
+
+/// One direction's arc rows as the kernel sees them.
+struct PullRows {
+  const uint32_t* off;  ///< CSR row offsets
+  const NodeId* far;    ///< far-endpoint lane
+  double* cw;           ///< plane costs
+  NodeId* via;          ///< plane via nodes
+};
+
+/// Resets the records of [begin, end) that `changed` touches to their
+/// original-arc cost (shortcuts start unpriced) and appends the run heads
+/// among them to `*heads`. Only run heads are ever relaxed, so a reset
+/// non-head record is final here. `mask` null = every record.
+void ResetRecords(std::span<const ChArc> arcs, const uint8_t* mask,
+                  uint8_t changed, const ChClassWeights& weights,
+                  uint32_t begin, uint32_t end, const PullRows& rows,
+                  std::vector<uint32_t>* heads) {
+  heads->clear();
+  for (uint32_t i = begin; i < end; ++i) {
+    if (mask != nullptr && (mask[i] & changed) == 0) continue;
+    rows.cw[i] = arcs[i].orig == kChShortcutEdge ? kInfiniteCost
+                                                 : Dot(arcs[i].len, weights);
+    rows.via[i] = kInvalidNode;
+    if (i == begin || rows.far[i - 1] != rows.far[i]) heads->push_back(i);
   }
-  for (size_t i = 0; i < down.size(); ++i) {
-    cw_down[i] = down[i].orig == kChShortcutEdge ? kInfiniteCost
-                                                 : Dot(down[i].len, weights);
-  }
-  // Bottom-up push sweep (the seed path, kept verbatim): when x is
-  // processed, every arc incident to x is final (its remaining triangles
-  // would have an apex ranked below x, already processed). Relaxing all
-  // (a -> x -> b) pairs therefore prices every enclosing arc exactly;
-  // iteration order is fixed and improvements are strict, so the via
-  // assignment is deterministic. Parallel records collapse to per-neighbor
-  // run minima first — min(ca_i + cu_j) separates into min(ca) + min(cu),
-  // the same double bit for bit — and the relaxation targets are then
-  // found by merging sorted rows instead of a binary search per pair,
-  // which matters inside the near-clique top separators the
-  // nested-dissection order produces.
-  const auto up_off = ch_.up_offsets();
-  const auto down_off = ch_.down_offsets();
-  std::vector<std::pair<NodeId, double>> downs;  // (a, min cost a -> x)
-  std::vector<std::pair<NodeId, double>> ups;    // (b, min cost x -> b)
-  for (size_t r = 0; r < n; ++r) {
-    const NodeId x = order_[r];
-    downs.clear();
-    ups.clear();
-    for (uint32_t i = down_off[x]; i < down_off[x + 1];) {
-      const NodeId a = down[i].node;
-      double ca = cw_down[i];
-      for (++i; i < down_off[x + 1] && down[i].node == a; ++i) {
-        ca = std::min(ca, cw_down[i]);
-      }
-      if (ca < kInfiniteCost) downs.push_back({a, ca});
+}
+
+/// Relaxes the owner `l`'s `heads` in `own` against every apex of `inv`.
+/// An apex x closes a triangle over l's arc (l, h) with one leg in x's
+/// `leg` row (its l-run, starting at the entry's `run`) and the other in
+/// x's `own` row (its h-run). Each run collapses to its minimum first —
+/// min(a_i + b_j) separates into min(a) + min(b), the same double bit for
+/// bit — and the targets are found by merging the sorted rows. Apexes
+/// arrive in ascending rank and improvements are strict, so the lowest
+/// apex wins ties whatever the worker count.
+template <typename LowerRef>
+void RelaxHeads(NodeId l, const std::vector<uint32_t>& heads,
+                const LowerRef* inv, const LowerRef* inv_end,
+                const PullRows& leg, const PullRows& own) {
+  if (heads.empty()) return;
+  const size_t num_heads = heads.size();
+  for (; inv != inv_end; ++inv) {
+    const NodeId x = inv->x;
+    double leg_cost = kInfiniteCost;
+    for (uint32_t i = inv->run; i < leg.off[x + 1] && leg.far[i] == l; ++i) {
+      leg_cost = std::min(leg_cost, leg.cw[i]);
     }
-    for (uint32_t j = up_off[x]; j < up_off[x + 1];) {
-      const NodeId b = up[j].node;
-      double cu = cw_up[j];
-      for (++j; j < up_off[x + 1] && up[j].node == b; ++j) {
-        cu = std::min(cu, cw_up[j]);
-      }
-      if (cu < kInfiniteCost) ups.push_back({b, cu});
-    }
-    if (downs.empty() || ups.empty()) continue;
-    // Pairs with rank(a) < rank(b): the enclosing arc lives in a's up row.
-    for (const auto& [a, ca] : downs) {
-      uint32_t k = up_off[a];
-      const uint32_t kend = up_off[a + 1];
-      auto it = ups.begin();
-      while (it != ups.end() && k < kend) {
-        if (up[k].node < it->first) {
-          ++k;
-        } else if (it->first < up[k].node) {
-          ++it;
-        } else {
-          const double cost = ca + it->second;
-          if (cost < cw_up[k]) {
-            cw_up[k] = cost;
-            plane->via_up[k] = x;
-          }
-          const NodeId b = it->first;
-          for (++k; k < kend && up[k].node == b; ++k) {
-          }
-          ++it;
+    if (!(leg_cost < kInfiniteCost)) continue;
+    size_t t = 0;
+    uint32_t j = own.off[x];
+    const uint32_t jend = own.off[x + 1];
+    while (t < num_heads && j < jend) {
+      const uint32_t k = heads[t];
+      const NodeId h = own.far[k];
+      const NodeId hj = own.far[j];
+      if (h < hj) {
+        ++t;
+      } else if (hj < h) {
+        ++j;
+      } else {
+        double other = own.cw[j];
+        for (++j; j < jend && own.far[j] == h; ++j) {
+          other = std::min(other, own.cw[j]);
         }
-      }
-    }
-    // Pairs with rank(a) > rank(b): the enclosing arc lives in b's down row.
-    for (const auto& [b, cu] : ups) {
-      uint32_t k = down_off[b];
-      const uint32_t kend = down_off[b + 1];
-      auto it = downs.begin();
-      while (it != downs.end() && k < kend) {
-        if (down[k].node < it->first) {
-          ++k;
-        } else if (it->first < down[k].node) {
-          ++it;
-        } else {
-          const double cost = it->second + cu;
-          if (cost < cw_down[k]) {
-            cw_down[k] = cost;
-            plane->via_down[k] = x;
+        if (other < kInfiniteCost) {
+          const double cost = leg_cost + other;
+          if (cost < own.cw[k]) {
+            own.cw[k] = cost;
+            own.via[k] = x;
           }
-          const NodeId a = it->first;
-          for (++k; k < kend && down[k].node == a; ++k) {
-          }
-          ++it;
         }
+        ++t;
       }
     }
   }
 }
+
+}  // namespace
 
 void ChCustomizer::PullNode(NodeId l, const ChClassWeights& weights,
-                            ChCustomization* plane) const {
-  const auto up = ch_.up_arcs();
-  const auto down = ch_.down_arcs();
-  const auto up_off = ch_.up_offsets();
-  const auto down_off = ch_.down_offsets();
-  auto& cw_up = plane->cw_up;
-  auto& cw_down = plane->cw_down;
-
-  // Base costs for the owned rows.
-  for (uint32_t i = up_off[l]; i < up_off[l + 1]; ++i) {
-    cw_up[i] =
-        up[i].orig == kChShortcutEdge ? kInfiniteCost : Dot(up[i].len, weights);
-    plane->via_up[i] = kInvalidNode;
-  }
-  for (uint32_t i = down_off[l]; i < down_off[l + 1]; ++i) {
-    cw_down[i] = down[i].orig == kChShortcutEdge ? kInfiniteCost
-                                                 : Dot(down[i].len, weights);
-    plane->via_down[i] = kInvalidNode;
-  }
-
-  // Up-arc finalization: an up-arc (l -> h) is enclosed by triangles whose
-  // apex x has l in its down row (leg l -> x) and h in its up row (leg
-  // x -> h). inv_down lists exactly those apexes, ascending by rank — the
-  // push sweep's outer order — and strict-< improvement reproduces its
-  // lowest-apex tie-break. Only the first record of each target run is
-  // relaxed, matching the push merge.
-  const double* cw_up_p = cw_up.data();
-  const double* cw_down_p = cw_down.data();
-  for (uint32_t e = inv_down_offsets_[l]; e < inv_down_offsets_[l + 1]; ++e) {
-    const LowerRef& lr = inv_down_entries_[e];
-    // min over x's l-run (cost of leg l -> x), run-minima like the push
-    // sweep's `downs` collapse.
-    double ca = kInfiniteCost;
-    for (uint32_t i = lr.run; i < down_off[lr.x + 1] && down[i].node == l;
-         ++i) {
-      ca = std::min(ca, cw_down_p[i]);
-    }
-    if (!(ca < kInfiniteCost)) continue;
-    uint32_t k = up_off[l];
-    const uint32_t kend = up_off[l + 1];
-    uint32_t j = up_off[lr.x];
-    const uint32_t jend = up_off[lr.x + 1];
-    while (k < kend && j < jend) {
-      if (up[k].node < up[j].node) {
-        ++k;
-      } else if (up[j].node < up[k].node) {
-        const NodeId h = up[j].node;
-        for (++j; j < jend && up[j].node == h; ++j) {
-        }
-      } else {
-        const NodeId h = up[k].node;
-        double cu = cw_up_p[j];
-        for (++j; j < jend && up[j].node == h; ++j) {
-          cu = std::min(cu, cw_up_p[j]);
-        }
-        if (cu < kInfiniteCost) {
-          const double cost = ca + cu;
-          if (cost < cw_up[k]) {
-            cw_up[k] = cost;
-            plane->via_up[k] = lr.x;
-          }
-        }
-        for (++k; k < kend && up[k].node == h; ++k) {
-        }
-      }
-    }
-  }
-
-  // Down-arc finalization: a down-arc (h -> l) is enclosed by triangles
-  // whose apex x has h in its down row (leg h -> x) and l in its up row
-  // (leg x -> l); inv_up lists those apexes.
-  for (uint32_t e = inv_up_offsets_[l]; e < inv_up_offsets_[l + 1]; ++e) {
-    const LowerRef& lr = inv_up_entries_[e];
-    // min over x's l-run in its up row (cost of leg x -> l).
-    double cu = kInfiniteCost;
-    for (uint32_t i = lr.run; i < up_off[lr.x + 1] && up[i].node == l; ++i) {
-      cu = std::min(cu, cw_up_p[i]);
-    }
-    if (!(cu < kInfiniteCost)) continue;
-    uint32_t k = down_off[l];
-    const uint32_t kend = down_off[l + 1];
-    uint32_t j = down_off[lr.x];
-    const uint32_t jend = down_off[lr.x + 1];
-    while (k < kend && j < jend) {
-      if (down[k].node < down[j].node) {
-        ++k;
-      } else if (down[j].node < down[k].node) {
-        const NodeId h = down[j].node;
-        for (++j; j < jend && down[j].node == h; ++j) {
-        }
-      } else {
-        const NodeId h = down[k].node;
-        double ca = cw_down_p[j];
-        for (++j; j < jend && down[j].node == h; ++j) {
-          ca = std::min(ca, cw_down_p[j]);
-        }
-        if (ca < kInfiniteCost) {
-          const double cost = ca + cu;
-          if (cost < cw_down[k]) {
-            cw_down[k] = cost;
-            plane->via_down[k] = lr.x;
-          }
-        }
-        for (++k; k < kend && down[k].node == h; ++k) {
-        }
-      }
-    }
-  }
+                            uint8_t changed, ChCustomization* plane,
+                            PullScratch* scratch) const {
+  const bool all = changed == kAllClasses;
+  const PullRows up{ch_.up_offsets().data(), far_up_.data(),
+                    plane->cw_up.data(), plane->via_up.data()};
+  const PullRows down{ch_.down_offsets().data(), far_down_.data(),
+                      plane->cw_down.data(), plane->via_down.data()};
+  ResetRecords(ch_.up_arcs(), all ? nullptr : mask_up_.data(), changed,
+               weights, up.off[l], up.off[l + 1], up, &scratch->heads_up);
+  ResetRecords(ch_.down_arcs(), all ? nullptr : mask_down_.data(), changed,
+               weights, down.off[l], down.off[l + 1], down,
+               &scratch->heads_down);
+  // Up arcs (l -> h): apexes with l in their down row (leg l -> x) and h
+  // in their up row (leg x -> h). Down arcs (h -> l): apexes with l in
+  // their up row (leg x -> l) and h in their down row (leg h -> x).
+  const LowerRef* inv_down = inv_down_entries_.data();
+  const LowerRef* inv_up = inv_up_entries_.data();
+  RelaxHeads(l, scratch->heads_up, inv_down + inv_down_offsets_[l],
+             inv_down + inv_down_offsets_[l + 1], down, up);
+  RelaxHeads(l, scratch->heads_down, inv_up + inv_up_offsets_[l],
+             inv_up + inv_up_offsets_[l + 1], up, down);
 }
 
-void ChCustomizer::RepriceNode(NodeId l, const ChClassWeights& weights,
-                               uint8_t changed, ChCustomization* plane) {
-  const auto up = ch_.up_arcs();
-  const auto down = ch_.down_arcs();
-  const auto up_off = ch_.up_offsets();
-  const auto down_off = ch_.down_offsets();
-  auto& cw_up = plane->cw_up;
-  auto& cw_down = plane->cw_down;
-
-  // Re-initialize exactly the dirty records (clean ones keep the base
-  // plane's bits, which a full sweep would reproduce), remembering which
-  // run heads need their candidate scan re-run. Only run heads are ever
-  // relaxed — both the push merge and PullNode skip parallel records — so
-  // a dirty non-head record is finished right here.
-  dirty_heads_up_.clear();
-  for (uint32_t i = up_off[l]; i < up_off[l + 1]; ++i) {
-    if ((mask_up_[i] & changed) == 0) continue;
-    cw_up[i] =
-        up[i].orig == kChShortcutEdge ? kInfiniteCost : Dot(up[i].len, weights);
-    plane->via_up[i] = kInvalidNode;
-    if (i == up_off[l] || up[i - 1].node != up[i].node) {
-      dirty_heads_up_.push_back(i);
-    }
-  }
-  dirty_heads_down_.clear();
-  for (uint32_t i = down_off[l]; i < down_off[l + 1]; ++i) {
-    if ((mask_down_[i] & changed) == 0) continue;
-    cw_down[i] = down[i].orig == kChShortcutEdge ? kInfiniteCost
-                                                 : Dot(down[i].len, weights);
-    plane->via_down[i] = kInvalidNode;
-    if (i == down_off[l] || down[i - 1].node != down[i].node) {
-      dirty_heads_down_.push_back(i);
-    }
-  }
-
-  // PullNode's relaxation with the owner's row replaced by the dirty-head
-  // subset: same apexes in the same (ascending-rank) order, same run
-  // minima, same strict-< improvement — bit-identical where it writes.
-  const double* cw_up_p = cw_up.data();
-  const double* cw_down_p = cw_down.data();
-  if (!dirty_heads_up_.empty()) {
-    for (uint32_t e = inv_down_offsets_[l]; e < inv_down_offsets_[l + 1];
-         ++e) {
-      const LowerRef& lr = inv_down_entries_[e];
-      double ca = kInfiniteCost;
-      for (uint32_t i = lr.run; i < down_off[lr.x + 1] && down[i].node == l;
-           ++i) {
-        ca = std::min(ca, cw_down_p[i]);
-      }
-      if (!(ca < kInfiniteCost)) continue;
-      size_t t = 0;
-      uint32_t j = up_off[lr.x];
-      const uint32_t jend = up_off[lr.x + 1];
-      while (t < dirty_heads_up_.size() && j < jend) {
-        const uint32_t k = dirty_heads_up_[t];
-        if (up[k].node < up[j].node) {
-          ++t;
-        } else if (up[j].node < up[k].node) {
-          const NodeId h = up[j].node;
-          for (++j; j < jend && up[j].node == h; ++j) {
-          }
-        } else {
-          const NodeId h = up[k].node;
-          double cu = cw_up_p[j];
-          for (++j; j < jend && up[j].node == h; ++j) {
-            cu = std::min(cu, cw_up_p[j]);
-          }
-          if (cu < kInfiniteCost) {
-            const double cost = ca + cu;
-            if (cost < cw_up[k]) {
-              cw_up[k] = cost;
-              plane->via_up[k] = lr.x;
-            }
-          }
-          ++t;
-        }
-      }
-    }
-  }
-
-  if (!dirty_heads_down_.empty()) {
-    for (uint32_t e = inv_up_offsets_[l]; e < inv_up_offsets_[l + 1]; ++e) {
-      const LowerRef& lr = inv_up_entries_[e];
-      double cu = kInfiniteCost;
-      for (uint32_t i = lr.run; i < up_off[lr.x + 1] && up[i].node == l; ++i) {
-        cu = std::min(cu, cw_up_p[i]);
-      }
-      if (!(cu < kInfiniteCost)) continue;
-      size_t t = 0;
-      uint32_t j = down_off[lr.x];
-      const uint32_t jend = down_off[lr.x + 1];
-      while (t < dirty_heads_down_.size() && j < jend) {
-        const uint32_t k = dirty_heads_down_[t];
-        if (down[k].node < down[j].node) {
-          ++t;
-        } else if (down[j].node < down[k].node) {
-          const NodeId h = down[j].node;
-          for (++j; j < jend && down[j].node == h; ++j) {
-          }
-        } else {
-          const NodeId h = down[k].node;
-          double ca = cw_down_p[j];
-          for (++j; j < jend && down[j].node == h; ++j) {
-            ca = std::min(ca, cw_down_p[j]);
-          }
-          if (ca < kInfiniteCost) {
-            const double cost = ca + cu;
-            if (cost < cw_down[k]) {
-              cw_down[k] = cost;
-              plane->via_down[k] = lr.x;
-            }
-          }
-          ++t;
-        }
-      }
-    }
-  }
-}
-
-void ChCustomizer::CustomizeParallel(const ChClassWeights& weights,
-                                     ChCustomization* plane) {
+void ChCustomizer::Sweep(const ChClassWeights& weights, uint8_t changed,
+                         ChCustomization* plane) {
   EnsurePull();
   const size_t num_levels = level_offsets_.size() - 1;
-  const int workers = std::max(1, threads_);
-  if (workers == 1) {
-    // Single-worker pull: no barrier needed, level order is rank order
-    // within each level and reads only ever touch finished lower levels.
-    for (size_t lvl = 0; lvl < num_levels; ++lvl) {
-      for (uint32_t i = level_offsets_[lvl]; i < level_offsets_[lvl + 1];
-           ++i) {
-        PullNode(level_order_[i], weights, plane);
-      }
-    }
-    return;
-  }
-  std::barrier barrier(workers);
+  const int workers = workers_;
+  std::optional<std::barrier<>> barrier;
+  if (workers > 1) barrier.emplace(workers);
   auto worker_fn = [&](int w) {
+    PullScratch scratch;
     for (size_t lvl = 0; lvl < num_levels; ++lvl) {
       const uint32_t begin = level_offsets_[lvl];
-      const uint32_t end = level_offsets_[lvl + 1];
-      const uint32_t span = end - begin;
+      const uint32_t span = level_offsets_[lvl + 1] - begin;
       // Contiguous per-worker chunk: writes are confined to owned rows, so
       // any disjoint partition is race-free and bit-identical.
       const uint32_t lo = begin + static_cast<uint32_t>(
@@ -729,9 +488,12 @@ void ChCustomizer::CustomizeParallel(const ChClassWeights& weights,
           begin + static_cast<uint32_t>(static_cast<uint64_t>(span) * (w + 1) /
                                         workers);
       for (uint32_t i = lo; i < hi; ++i) {
-        PullNode(level_order_[i], weights, plane);
+        const NodeId l = level_order_[i];
+        if (changed != kAllClasses && (node_mask_[l] & changed) == 0) continue;
+        PullNode(l, weights, changed, plane, &scratch);
       }
-      barrier.arrive_and_wait();
+      // Level lvl + 1 reads what every worker just wrote.
+      if (barrier) barrier->arrive_and_wait();
     }
   };
   std::vector<std::thread> pool;
@@ -743,18 +505,13 @@ void ChCustomizer::CustomizeParallel(const ChClassWeights& weights,
 
 std::shared_ptr<const ChCustomization> ChCustomizer::Customize(
     const ChClassWeights& weights) {
-  EnsureOrder();
   auto plane = std::make_shared<ChCustomization>();
   plane->weights = weights;
   plane->cw_up.resize(ch_.NumUpArcs());
   plane->cw_down.resize(ch_.NumDownArcs());
-  plane->via_up.assign(ch_.NumUpArcs(), kInvalidNode);
-  plane->via_down.assign(ch_.NumDownArcs(), kInvalidNode);
-  if (threads_ <= 0) {
-    CustomizeSerial(weights, plane.get());
-  } else {
-    CustomizeParallel(weights, plane.get());
-  }
+  plane->via_up.resize(ch_.NumUpArcs());
+  plane->via_down.resize(ch_.NumDownArcs());
+  Sweep(weights, kAllClasses, plane.get());
   return plane;
 }
 
@@ -767,33 +524,19 @@ std::shared_ptr<const ChCustomization> ChCustomizer::CustomizeFrom(
   if (changed == 0) return base;
   // A full-vector delta dirties everything; skip the mask machinery (and
   // its one-time build) entirely.
-  if (std::popcount(changed) >= kChNumClasses) return Customize(weights);
-  EnsureMasks();
-  // When the dirty records cover most of the plane the memcpy + per-record
-  // skip checks only add overhead, so hand off to the (possibly parallel)
-  // full sweep.
-  if (2 * dirty_arcs_by_mask_[changed] > total_arcs()) {
-    return Customize(weights);
-  }
-  auto plane = std::make_shared<ChCustomization>();
+  if (changed == kAllClasses) return Customize(weights);
+  // When the dirty records cover most of the plane the copy + per-record
+  // skip checks only add overhead, so hand off to the full sweep.
+  if (2 * DirtyArcEstimate(changed) > total_arcs()) return Customize(weights);
+  // Clean records keep `base`'s bits, which equal what a full sweep under
+  // the new weights would produce (every quantity entering a clean arc's
+  // min is mask-invariant); dirty records are recomputed from scratch and
+  // their candidate scans read a mix of clean (unchanged, valid) and lower
+  // dirty (already re-priced) rows — so the result is bit-identical to
+  // Customize().
+  auto plane = std::make_shared<ChCustomization>(*base);
   plane->weights = weights;
-  plane->cw_up = base->cw_up;
-  plane->cw_down = base->cw_down;
-  plane->via_up = base->via_up;
-  plane->via_down = base->via_down;
-  // Re-price exactly the records whose class closure intersects the delta,
-  // owners in ascending rank. Clean records keep `base`'s bits, which
-  // equal what a full sweep under the new weights would produce (every
-  // quantity entering a clean arc's min is mask-invariant); dirty records
-  // are recomputed from scratch and their candidate scans read a mix of
-  // clean (unchanged, valid) and lower dirty (already re-priced) rows — so
-  // the result is bit-identical to Customize().
-  const size_t n = ch_.NumNodes();
-  for (size_t r = 0; r < n; ++r) {
-    const NodeId l = order_[r];
-    if ((node_mask_[l] & changed) == 0) continue;
-    RepriceNode(l, weights, changed, plane.get());
-  }
+  Sweep(weights, changed, plane.get());
   if (incremental != nullptr) *incremental = true;
   return plane;
 }

@@ -72,44 +72,45 @@ void ChExpandItem(const ChIndex& ch, const ChCustomization& plane,
                   const ChUnpackItem& item, std::vector<ChUnpackItem>* stack,
                   std::vector<EdgeId>* out);
 
-/// \brief Prices a ChIndex for class-weight vectors: serial, level-parallel,
-/// and incremental sweeps, all bit-identical.
+/// \brief Prices a ChIndex for class-weight vectors: one pull kernel, one
+/// level driver, full or incremental, bit-identical for any worker count.
 ///
-/// Three strategies over the same triangle closure:
-///  - `threads == 0`: the seed path — the single-threaded push sweep
-///    (process apexes by ascending rank, relax every enclosing arc).
-///  - `threads >= 1`: the pull formulation — every node owns the arc
-///    records in its own rows and *finalizes* them by merging each lower
-///    neighbor's rows against its own. Writes touch only owned rows and
-///    reads touch only rows of strictly lower contraction *level*
-///    (level(v) = 1 + max level over lower neighbors), so all nodes of one
-///    level customize concurrently with a barrier between levels. Candidate
-///    triangles apply in ascending apex rank with strict-< improvement —
-///    the same doubles in the same order as the push sweep, so the output
-///    (costs and via assignments) is bit-identical for any thread count.
-///  - CustomizeFrom(): incremental re-pricing. Every arc carries the union
-///    of road classes of every arc participating in any of its candidate
-///    triangles, transitively (the shortcut closure of its class set). A
-///    weight delta confined to classes outside that mask leaves the arc's
-///    cost and via bit-identical, so only the *records* whose mask
-///    intersects the changed classes are re-priced (owners ascending rank,
-///    serial, relaxation restricted to the dirty run heads); everything
-///    else is one memcpy of the base plane. Falls back to a full sweep when
-///    the dirty estimate exceeds half the arc records (or all three classes
-///    moved).
+/// The kernel (PullNode) is the pull formulation of the triangle closure:
+/// every node owns the arc records in its own rows and *finalizes* them by
+/// merging each lower neighbor's rows against its own. Writes touch only
+/// owned rows and reads touch only rows of strictly lower contraction
+/// *level* (level(v) = 1 + max level over lower neighbors), so all nodes of
+/// one level price concurrently with a barrier between levels. Candidate
+/// triangles apply in ascending apex rank with strict-< improvement, so
+/// the output (costs and via assignments) is the same doubles for any
+/// worker count.
 ///
-/// The pull-side structures (rank order, levels, inverted lower-neighbor
-/// index, class masks) are metric-independent and built lazily exactly
-/// once; a customizer is safe to share across threads as long as
+/// Incremental re-pricing is the same kernel under a class mask. Every arc
+/// carries the union of road classes of every arc participating in any of
+/// its candidate triangles, transitively (the shortcut closure of its class
+/// set). A weight delta confined to classes outside that mask leaves the
+/// arc's cost and via bit-identical, so CustomizeFrom() copies the base
+/// plane and re-prices only the records whose mask meets the changed
+/// classes, riding the same level barriers. It falls back to a full sweep
+/// when the dirty estimate exceeds half the arc records (or all three
+/// classes moved).
+///
+/// The pull-side structures (levels, inverted lower-neighbor index, the
+/// far-endpoint lanes, class masks) are metric-independent and built lazily
+/// exactly once; a customizer is safe to share across threads as long as
 /// concurrent Customize calls are externally serialized (the
 /// ChCustomizationCache holds its build mutex across them).
 class ChCustomizer {
  public:
-  /// \param threads sweep parallelism: 0 = serial push seed path, N >= 1 =
-  ///   level-parallel pull sweep with min(N, level width) workers.
-  explicit ChCustomizer(const ChIndex& ch, int threads = 0);
+  /// All three classes: the `changed` mask of a full sweep.
+  static constexpr uint8_t kAllClasses = (1u << kChNumClasses) - 1;
 
-  /// Full customization of `weights` (strategy per `threads`).
+  /// \param threads requested sweep workers; the driver runs
+  ///   min(threads, hardware threads, widest level) of them, at least one.
+  ///   One worker runs inline on the caller.
+  explicit ChCustomizer(const ChIndex& ch, int threads = 1);
+
+  /// Full customization of `weights`.
   std::shared_ptr<const ChCustomization> Customize(const ChClassWeights& weights);
 
   /// Re-customization from `base` (a fully customized plane) to `weights`.
@@ -120,11 +121,8 @@ class ChCustomizer {
       std::shared_ptr<const ChCustomization> base, const ChClassWeights& weights,
       bool* incremental = nullptr);
 
-  int threads() const { return threads_; }
-  void set_threads(int threads) { threads_ = threads; }
-
-  /// rank -> node permutation (built on first use).
-  const std::vector<NodeId>& order();
+  /// Workers a sweep runs with (the clamped thread request).
+  int workers();
 
   /// Contraction levels (pull-side structure; built on first use).
   size_t num_levels();
@@ -149,53 +147,53 @@ class ChCustomizer {
     uint32_t run;
   };
 
-  void EnsureOrder();
-  void EnsurePull();   ///< levels + inverted lower-neighbor index
+  /// Per-worker kernel scratch: the run heads of the current node's rows
+  /// that the sweep re-prices.
+  struct PullScratch {
+    std::vector<uint32_t> heads_up;
+    std::vector<uint32_t> heads_down;
+  };
+
+  void EnsurePull();   ///< levels, inverted index, far-endpoint lanes
   void EnsureMasks();  ///< class-mask closure + dirty estimates
 
-  void CustomizeSerial(const ChClassWeights& weights,
-                       ChCustomization* plane) const;
-  void CustomizeParallel(const ChClassWeights& weights, ChCustomization* plane);
-  /// Re-initializes and finalizes one node's rows under the pull
-  /// formulation (reads only rows of lower-ranked nodes).
-  void PullNode(NodeId l, const ChClassWeights& weights,
-                ChCustomization* plane) const;
-  /// Incremental counterpart of PullNode: re-initializes and re-relaxes
-  /// only the records of `l`'s rows whose class closure intersects
-  /// `changed`, leaving clean records with their (bit-identical) base
-  /// values. Same candidate order and comparisons as PullNode, restricted
-  /// to the dirty run heads — bit-identical where it writes.
-  void RepriceNode(NodeId l, const ChClassWeights& weights, uint8_t changed,
-                   ChCustomization* plane);
+  /// The level driver: runs PullNode over every node whose rows `changed`
+  /// touches, level by level, on workers() workers.
+  void Sweep(const ChClassWeights& weights, uint8_t changed,
+             ChCustomization* plane);
+
+  /// The kernel: re-initializes and finalizes the records of `l`'s rows
+  /// whose class closure meets `changed` (every record for kAllClasses),
+  /// reading only rows of lower levels. Clean records keep their bits.
+  void PullNode(NodeId l, const ChClassWeights& weights, uint8_t changed,
+                ChCustomization* plane, PullScratch* scratch) const;
 
   const ChIndex& ch_;
   int threads_;
 
-  std::once_flag order_once_;
-  std::vector<NodeId> order_;  ///< rank -> node
-
   std::once_flag pull_once_;
-  std::vector<uint32_t> level_of_;       ///< per node
+  int workers_ = 1;
   std::vector<uint32_t> level_offsets_;  ///< CSR into level_order_
   std::vector<NodeId> level_order_;      ///< nodes grouped by level, rank asc
   std::vector<uint32_t> inv_up_offsets_;   ///< CSR: owner -> x's up-row runs
   std::vector<LowerRef> inv_up_entries_;   ///< arcs x -> owner (x's up row)
   std::vector<uint32_t> inv_down_offsets_; ///< CSR: owner -> x's down-row runs
   std::vector<LowerRef> inv_down_entries_; ///< arcs owner -> x (x's down row)
+  /// Far endpoint of every arc record (ChArc::node), packed so the merge
+  /// loops stream 4-byte ids instead of striding the 32-byte records.
+  std::vector<NodeId> far_up_;
+  std::vector<NodeId> far_down_;
 
   std::once_flag mask_once_;
   std::vector<uint8_t> mask_up_;    ///< per up-arc record class closure
   std::vector<uint8_t> mask_down_;  ///< per down-arc record class closure
   std::vector<uint8_t> node_mask_;  ///< OR of both rows per node
   size_t dirty_arcs_by_mask_[8] = {0};
-
-  /// RepriceNode scratch: the dirty run heads of the current node's rows
-  /// (CustomizeFrom is serial, so one instance suffices).
-  std::vector<uint32_t> dirty_heads_up_;
-  std::vector<uint32_t> dirty_heads_down_;
 };
 
-/// \brief Shared per-bucket customization cache with RCU-style publication.
+/// \brief Shared per-bucket customization cache with RCU-style publication:
+/// the one source of customized planes (ChQuery, DeroutingService and
+/// ChProfileQuery lanes all fetch here).
 ///
 /// Customized planes are immutable once built and a congestion bucket's
 /// class weights are a pure function of the bucket, so N server workers
@@ -214,8 +212,8 @@ class ChCustomizationCache {
   /// \param threads forwarded to the internal ChCustomizer.
   /// \param max_planes retained planes; beyond it the oldest entry is
   ///   dropped (readers holding it keep it alive).
-  ChCustomizationCache(const ChIndex& ch, int threads = 0,
-                       size_t max_planes = 64);
+  explicit ChCustomizationCache(const ChIndex& ch, int threads = 1,
+                                size_t max_planes = 64);
 
   /// The plane for `weights`: a published one when present, else built
   /// (once, however many workers ask concurrently) and published.
@@ -233,7 +231,6 @@ class ChCustomizationCache {
   }
   size_t size() const;
 
-  ChCustomizer& customizer() { return customizer_; }
   const ChIndex& index() const { return ch_; }
 
   /// Mirrors hit/miss/build counts onto `registry` under `ch.cache.*` and

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "graph/io.h"
 
@@ -90,8 +91,13 @@ Result<std::shared_ptr<ChIndex>> ChIndex::FromViews(Views views,
                                     num_graph_edges, "ch up"));
   ECOCHARGE_RETURN_NOT_OK(CheckArcs(views.down_offsets, views.down_arcs, n,
                                     num_graph_edges, "ch down"));
+  // The customizer inverts the ranks into a node order: a duplicated rank
+  // would leave a slot unfilled, pricing one node twice and another never.
+  std::vector<bool> seen(n, false);
   for (uint32_t r : views.rank) {
     if (r >= n) return Status::InvalidArgument("ch rank out of range");
+    if (seen[r]) return Status::InvalidArgument("ch rank not a permutation");
+    seen[r] = true;
   }
   auto ch = std::shared_ptr<ChIndex>(new ChIndex());
   ch->rank_ = views.rank;

@@ -33,14 +33,12 @@ struct ChSpace {
 ///
 /// The hierarchy's topology is metric-independent; what a query needs per
 /// class-weight vector is a ChCustomization *plane* (per-arc costs plus the
-/// middle node realizing each shortcut). Planes come from one of two
-/// places: a shared ChCustomizationCache (set_cache — server workers all
-/// point at one cache, so a congestion bucket is priced once per process
-/// instead of once per worker) or a private ChCustomizer built on first
-/// use (the standalone path; set_threads picks its sweep strategy and
-/// bucket-to-bucket changes re-price incrementally). Search() swaps planes
-/// only when the weights actually change, so a query stream at a fixed
-/// traffic bucket pays nothing.
+/// middle node realizing each shortcut). Planes come from the
+/// ChCustomizationCache the query is built over — server workers all point
+/// at one cache, so a congestion bucket is priced once per process instead
+/// of once per worker, and bucket-to-bucket changes re-price
+/// incrementally. Search() swaps planes only when the weights actually
+/// change, so a query stream at a fixed traffic bucket pays nothing.
 ///
 /// Search(): upward Dijkstra from s over UpArcs and downward Dijkstra from
 /// t over DownArcs with stall-on-demand, meeting at the hierarchy peak.
@@ -57,21 +55,13 @@ class ChQuery {
   /// Sentinel arc reference marking a search seed / original-arc leaf.
   static constexpr uint32_t kNoArcRef = 0xFFFFFFFFu;
 
-  explicit ChQuery(const ChIndex& ch);
+  /// \param cache plane source over the queried hierarchy (not owned,
+  ///   must outlive the query).
+  explicit ChQuery(ChCustomizationCache* cache);
 
-  /// Prices the hierarchy for `weights` if the current plane does not
+  /// Fetches the plane for `weights` if the current plane does not
   /// already match. Search() calls this implicitly.
   void EnsureCustomized(const ChClassWeights& weights);
-
-  /// Sources planes from `cache` instead of the private customizer; null
-  /// reverts. The active plane survives the switch.
-  void set_cache(ChCustomizationCache* cache) { cache_ = cache; }
-  ChCustomizationCache* cache() const { return cache_; }
-
-  /// Sweep parallelism of the private customizer (ignored when a cache is
-  /// attached — the cache's own customizer decides): 0 = serial seed path.
-  void set_threads(int threads);
-  int threads() const { return threads_; }
 
   /// Shortest up-down distance s -> t under `weights`; kInfiniteCost when
   /// unreachable, exactly 0.0 when s == t. Out-of-range ids are
@@ -109,8 +99,8 @@ class ChQuery {
   /// Heap pops of the last Search (exposed for benchmarks).
   size_t last_settled() const { return last_settled_; }
 
-  /// Customization sweeps THIS query ran (cache hits are not counted —
-  /// with a shared cache attached, summing this across workers against the
+  /// Customization sweeps THIS query's plane fetches ran (cache hits are
+  /// not counted — summing this across workers sharing a cache against the
   /// cache's builds() shows the dedup). Tests assert a stable query stream
   /// prices the hierarchy exactly once.
   size_t customizations() const { return customizations_; }
@@ -151,14 +141,12 @@ class ChQuery {
 
   const ChIndex& ch_;
 
+  ChCustomizationCache* cache_;
   // Active customization plane (shared, immutable) plus its hot-path raw
-  // views; the private customizer exists only on the no-cache path.
+  // views.
   std::shared_ptr<const ChCustomization> plane_;
   const double* cw_up_ = nullptr;
   const double* cw_down_ = nullptr;
-  ChCustomizationCache* cache_ = nullptr;
-  std::unique_ptr<ChCustomizer> customizer_;
-  int threads_ = 0;
   size_t customizations_ = 0;
   obs::Counter* customizations_mirror_ = nullptr;
 

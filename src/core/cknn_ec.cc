@@ -151,7 +151,15 @@ CknnEcProcessor::CknnEcProcessor(EcEstimator* estimator,
       charger_index_(charger_index),
       options_(options) {
   if (options_.ch != nullptr) {
-    ch_query_ = std::make_unique<ChQuery>(*options_.ch);
+    // The free-flow bounds need the length plane once. It comes from the
+    // estimator's plane cache when that cache prices the same hierarchy
+    // (the serving configuration), else from a cache of this processor's.
+    ChCustomizationCache* cache = estimator_->options().ch_cache;
+    if (cache == nullptr || &cache->index() != options_.ch) {
+      own_ch_cache_ = std::make_unique<ChCustomizationCache>(*options_.ch);
+      cache = own_ch_cache_.get();
+    }
+    ch_query_ = std::make_unique<ChQuery>(cache);
   }
 }
 

@@ -14,6 +14,7 @@
 namespace ecocharge {
 
 class ChIndex;
+class ChCustomizationCache;
 class ChQuery;
 class LandmarkIndex;
 
@@ -225,7 +226,9 @@ class CknnEcProcessor {
   CknnEcOptions options_;
   PipelineMetrics metrics_;
   /// Length-metric CH query workspace for OrderByDeroutingBound; null
-  /// unless options_.ch is set.
+  /// unless options_.ch is set. Its plane cache is the estimator's, or
+  /// own_ch_cache_ when the estimator has none over options_.ch.
+  std::unique_ptr<ChCustomizationCache> own_ch_cache_;
   std::unique_ptr<ChQuery> ch_query_;
 };
 

@@ -21,7 +21,7 @@ EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
       owned_eis_(std::make_unique<InformationServer>(energy, availability,
                                                      congestion)),
       eis_(owned_eis_.get()) {
-  derouting_.set_ch(options.ch, options.ch_cache, options.ch_threads);
+  derouting_.set_ch(options.ch_cache);
   PickBestSite();
 }
 
@@ -40,7 +40,7 @@ EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
       derouting_(network_, congestion, /*detour_factor=*/1.3,
                  options.exact_derouting_bucket_s),
       eis_(shared_eis) {
-  derouting_.set_ch(options.ch, options.ch_cache, options.ch_threads);
+  derouting_.set_ch(options.ch_cache);
   PickBestSite();
 }
 

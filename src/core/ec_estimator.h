@@ -28,20 +28,12 @@ struct EcEstimatorOptions {
   double exact_derouting_bucket_s = 0.0;
 
   /// When non-null, exact derouting runs on the contraction-hierarchy
-  /// backend (DeroutingBackend::kCh) instead of the Dijkstra sweeps. The
-  /// hierarchy must be built over the estimator's network and outlive it
-  /// (not owned).
-  const ChIndex* ch = nullptr;
-
-  /// Process-shared customization cache (not owned, must outlive the
-  /// estimator; only meaningful with `ch`). Workers built from the same
-  /// options share planes instead of each re-pricing every congestion
-  /// bucket.
+  /// backend (DeroutingBackend::kCh) over this customization cache's
+  /// hierarchy instead of the Dijkstra sweeps. The hierarchy must be built
+  /// over the estimator's network; the cache (not owned) must outlive the
+  /// estimator. Workers built from the same options share planes instead
+  /// of each re-pricing every congestion bucket.
   ChCustomizationCache* ch_cache = nullptr;
-
-  /// Sweep parallelism of the private customizer when no cache is attached
-  /// (0 = serial seed path); forwarded to DeroutingService::set_ch.
-  int ch_threads = 0;
 };
 
 /// \brief The traffic band one ranking estimates every candidate under.

@@ -87,21 +87,16 @@ Result<std::unique_ptr<Environment>> MakeEnvironment(
   EcEstimatorOptions est_opts;
   est_opts.max_derouting_m = options.max_derouting_m;
   est_opts.exact_derouting_bucket_s = options.exact_derouting_bucket_s;
-  est_opts.ch = env->ch.get();
   if (env->ch != nullptr) {
-    // -1 resolves to the machine; 0 stays the serial seed path. Every
-    // setting prices bit-identically, so this is purely a latency knob.
-    int ch_threads = options.ch_threads;
-    if (ch_threads < 0) {
-      ch_threads =
-          static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    }
-    est_opts.ch_threads = ch_threads;
-    if (options.ch_shared_cache) {
-      env->ch_cache =
-          std::make_shared<ChCustomizationCache>(*env->ch, ch_threads);
-      est_opts.ch_cache = env->ch_cache.get();
-    }
+    // -1 resolves to the machine. Every setting prices bit-identically, so
+    // this is purely a latency knob.
+    const int ch_threads =
+        options.ch_threads < 0
+            ? static_cast<int>(std::thread::hardware_concurrency())
+            : options.ch_threads;
+    env->ch_cache =
+        std::make_shared<ChCustomizationCache>(*env->ch, ch_threads);
+    est_opts.ch_cache = env->ch_cache.get();
   }
   env->estimator = std::make_unique<EcEstimator>(
       env->dataset.network, &env->chargers, env->energy.get(),

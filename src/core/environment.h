@@ -39,9 +39,9 @@ struct Environment {
   /// section when one exists, contracted from scratch otherwise.
   std::shared_ptr<const ChIndex> ch;
   /// Process-shared customization cache over `ch` (null unless the CH
-  /// backend is on and ch_shared_cache was left enabled). Estimators built
+  /// backend is on): the one source of customized planes. Estimators built
   /// from estimator->options() inherit it, so every server worker sources
-  /// congestion-bucket planes here instead of pricing privately.
+  /// congestion-bucket planes here.
   std::shared_ptr<ChCustomizationCache> ch_cache;
 };
 
@@ -77,15 +77,10 @@ struct EnvironmentOptions {
   /// bit-identical to kExact.
   DeroutingBackend derouting_backend = DeroutingBackend::kExact;
 
-  /// CH customization sweep threads (CLI --ch-threads): -1 (default) =
-  /// hardware concurrency, 0 = the serial seed path, N = level-parallel
-  /// pull sweep with N workers. All settings are bit-identical.
+  /// Workers of the plane cache's customization sweeps (CLI --ch-threads):
+  /// -1 (default) = hardware concurrency, N >= 1 = at most N workers (see
+  /// ChCustomizer for the clamp). Every setting prices bit-identically.
   int ch_threads = -1;
-
-  /// Build the process-shared ChCustomizationCache for the CH backend
-  /// (Environment::ch_cache). Off = every worker prices buckets privately
-  /// (the pre-cache behavior; also what the parity tests compare against).
-  bool ch_shared_cache = true;
 };
 
 /// Climate of each dataset's region (drives the weather Markov chain).

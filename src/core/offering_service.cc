@@ -67,18 +67,6 @@ OfferingTable OfferingService::Rank(uint64_t client_id,
   return table;
 }
 
-Result<std::string> OfferingService::Handle(uint64_t client_id,
-                                            const std::string& wire) {
-  Result<OfferingRequest> request = DecodeOfferingRequest(wire);
-  if (!request.ok()) {
-    ++stats_.requests;
-    ++stats_.malformed_requests;
-    return request.status();
-  }
-  RankInto(client_id, request.value().state, request.value().k, &table_);
-  return EncodeOfferingTable(table_);
-}
-
 void OfferingService::EvictIdleClients(SimTime now) {
   for (auto it = clients_.begin(); it != clients_.end();) {
     if (now - it->second.last_seen > client_ttl_s_) {

@@ -15,13 +15,13 @@ namespace ecocharge {
 /// \brief Request/serve statistics of one service instance.
 struct OfferingServiceStats {
   uint64_t requests = 0;
-  uint64_t malformed_requests = 0;
   uint64_t tables_served = 0;
   uint64_t cache_adaptations = 0;
 };
 
-/// \brief The Mode-2 server loop: decodes wire requests, ranks with a
-/// per-client EcoCharge instance, and encodes the Offering Table reply.
+/// \brief The Mode-2 ranking service: ranks with a per-client EcoCharge
+/// instance. OfferingServer wraps it with the wire path (decode, boundary
+/// validation, encode).
 ///
 /// Each client (vehicle) gets its own EcoChargeRanker so Dynamic Caching
 /// tracks that vehicle's movement — the paper's EIS serves many vehicles
@@ -35,10 +35,6 @@ class OfferingService {
                   const ScoreWeights& weights,
                   const EcoChargeOptions& options,
                   double client_ttl_s = kSecondsPerHour);
-
-  /// Handles one wire request from `client_id`; returns the encoded reply
-  /// or an error for malformed input.
-  Result<std::string> Handle(uint64_t client_id, const std::string& wire);
 
   /// Ranks for `client_id` into `*out` using the service-owned scratch
   /// context (the zero-allocation serving path).
@@ -103,9 +99,8 @@ class OfferingService {
   PipelineMetrics pipeline_metrics_;  // applied to every client ranker
 
   // Serving scratch, shared across clients (the service is single-threaded
-  // per instance): pipeline buffers plus the reply table Handle() encodes.
+  // per instance).
   QueryContext ctx_;
-  OfferingTable table_;
 };
 
 }  // namespace ecocharge

@@ -14,7 +14,6 @@ namespace ecocharge {
 
 class ChIndex;
 class ChQuery;
-class ChCustomizer;
 class ChCustomizationCache;
 class ChProfileQuery;
 struct ChClassWeights;
@@ -173,19 +172,14 @@ class DeroutingService {
   uint64_t warm_start_hits() const { return warm_start_hits_; }
   uint64_t backward_sweep_starts() const { return backward_sweep_starts_; }
 
-  /// Switches Exact()/ExactBatch() to the contraction-hierarchy backend.
-  /// `ch` must be built over this service's network and outlive it; nullptr
-  /// reverts to the Dijkstra sweeps. The CH backend does not use the
-  /// backward-sweep memo, so warm-start counters stay flat under it.
-  ///
-  /// `cache` (optional, must outlive the service) makes this worker source
-  /// customized planes from the process-shared ChCustomizationCache
-  /// instead of pricing privately — N workers then customize a congestion
-  /// bucket once total. `threads` is the sweep parallelism of the private
-  /// customizer when no cache is given (0 = serial seed path; ignored with
-  /// a cache, whose own customizer decides).
-  void set_ch(const ChIndex* ch, ChCustomizationCache* cache = nullptr,
-              int threads = 0);
+  /// Switches Exact()/ExactBatch() to the contraction-hierarchy backend
+  /// over `cache`'s hierarchy, which must be built over this service's
+  /// network; the cache (not owned) must outlive the service and is the
+  /// source of every customized plane — N workers sharing it customize a
+  /// congestion bucket once total. nullptr reverts to the Dijkstra sweeps.
+  /// The CH backend does not use the backward-sweep memo, so warm-start
+  /// counters stay flat under it.
+  void set_ch(ChCustomizationCache* cache);
 
   /// \brief Profile (ETA-window) query: the estimated drive time from the
   /// vehicle to `charger` under `buckets` consecutive congestion-bucket
@@ -252,24 +246,19 @@ class DeroutingService {
   uint64_t warm_start_hits_ = 0;
   uint64_t backward_sweep_starts_ = 0;
 
-  // CH backend state: borrowed hierarchy, its reusable query workspace, the
-  // unpacked-edge scratch shared by every CH leg, and the batch's
-  // elimination-tree label spaces (vehicle/return spaces built once per
-  // batch, two per-charger spaces reused across the loop).
+  // CH backend state: the borrowed plane cache and its hierarchy, the
+  // reusable query workspace, the unpacked-edge scratch shared by every CH
+  // leg, and the batch's elimination-tree label spaces (vehicle/return
+  // spaces built once per batch, two per-charger spaces reused across the
+  // loop). ch_metrics_ is re-applied to the query workspace on every
+  // set_ch.
+  ChCustomizationCache* ch_cache_ = nullptr;
   const ChIndex* ch_ = nullptr;
   std::unique_ptr<ChQuery> ch_query_;
   std::vector<EdgeId> ch_edges_;
   struct ChBatchSpaces;
   std::unique_ptr<ChBatchSpaces> ch_spaces_;
 
-  // Customization sourcing: the shared cache when attached, else a lazy
-  // private customizer seeded with the last built plane (so consecutive
-  // window buckets re-price incrementally). ch_metrics_ is re-applied to
-  // the query workspace on every set_ch.
-  ChCustomizationCache* ch_cache_ = nullptr;
-  int ch_threads_ = 0;
-  std::unique_ptr<ChCustomizer> ch_customizer_;
-  std::shared_ptr<const ChCustomization> ch_last_plane_;
   obs::MetricsRegistry* ch_metrics_ = nullptr;
 
   // Profile-query state: the window's plane lanes plus the two reusable

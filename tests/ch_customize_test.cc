@@ -1,15 +1,17 @@
-// Customization subsystem: bitwise parity of the serial, level-parallel,
-// and incremental sweeps; class-mask closure semantics on a graph where
-// the closure is provably confined; shared-cache dedup under concurrent
-// workers (the TSan hammer — scripts/check.sh chpar runs this suite under
-// -fsanitize=thread); and end-to-end Offering Table / ETA-window parity
-// across derouting backends and sweep strategies. Parity here means
-// memcmp-identical doubles, the same contract ch_test.cc holds ChQuery to.
+// Customization subsystem: bitwise parity of the one pull kernel at 1, 2
+// and 4 workers, full and incremental; the worker clamp; class-mask
+// closure semantics on a graph where the closure is provably confined;
+// shared-cache dedup under concurrent workers (the TSan hammer —
+// scripts/check.sh chpar runs this suite under -fsanitize=thread); and
+// end-to-end Offering Table / ETA-window parity of the CH backend against
+// the Dijkstra backend. Parity here means memcmp-identical doubles, the
+// same contract ch_test.cc holds ChQuery to.
 
 #include "ch/ch_customize.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -73,16 +75,16 @@ TEST(ChCustomizerTest, SerialParallelIncrementalBitIdentical) {
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
     CongestionModel congestion(seed);
 
-    ChCustomizer serial(*ch, 0);
+    ChCustomizer one(*ch, 1);
     ChCustomizer par2(*ch, 2);
     ChCustomizer par4(*ch, 4);
-    ChCustomizer inc(*ch, 0);
+    ChCustomizer inc(*ch, 2);
     std::shared_ptr<const ChCustomization> prev;
     for (double hour : {2.0, 8.5, 13.0, 17.5}) {
       const ChClassWeights w = CongestedWeights(congestion, hour * 3600.0);
-      auto s = serial.Customize(w);
-      EXPECT_TRUE(PlanesSameBits(*s, *par2.Customize(w))) << "2 threads";
-      EXPECT_TRUE(PlanesSameBits(*s, *par4.Customize(w))) << "4 threads";
+      auto s = one.Customize(w);
+      EXPECT_TRUE(PlanesSameBits(*s, *par2.Customize(w))) << "2 workers";
+      EXPECT_TRUE(PlanesSameBits(*s, *par4.Customize(w))) << "4 workers";
       EXPECT_TRUE(PlanesSameBits(*s, *inc.CustomizeFrom(prev, w)))
           << "incremental from previous bucket";
       prev = std::move(s);
@@ -93,11 +95,38 @@ TEST(ChCustomizerTest, SerialParallelIncrementalBitIdentical) {
 TEST(ChCustomizerTest, UnchangedWeightsReturnBaseUnbuilt) {
   auto network = SmallRgg(5, 150);
   auto ch = BuildChIndex(*network).MoveValueUnsafe();
-  ChCustomizer customizer(*ch, 0);
+  ChCustomizer customizer(*ch);
   auto base = customizer.Customize(kChLengthWeights);
   bool incremental = true;
   auto again = customizer.CustomizeFrom(base, kChLengthWeights, &incremental);
   EXPECT_EQ(again.get(), base.get());
+}
+
+TEST(ChCustomizerTest, WorkerCountClampedToMachineAndWidestLevel) {
+  // The clamp is read through workers(); no sweep runs at these counts.
+  auto network = SmallRgg(5, 150);
+  auto ch = BuildChIndex(*network).MoveValueUnsafe();
+  const int hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(ChCustomizer(*ch, 0).workers(), 1);
+  EXPECT_EQ(ChCustomizer(*ch, -3).workers(), 1);
+  EXPECT_EQ(ChCustomizer(*ch, 1).workers(), 1);
+  EXPECT_EQ(ChCustomizer(*ch, 2).workers(), std::min(2, hw));
+  const int many = ChCustomizer(*ch, 1 << 20).workers();
+  EXPECT_GE(many, 1);
+  EXPECT_LE(many, hw);
+
+  // A two-node hierarchy has one node per level: one worker, whatever
+  // the request.
+  GraphBuilder b;
+  const NodeId u = b.AddNode(Point{0.0, 0.0});
+  const NodeId v = b.AddNode(Point{100.0, 0.0});
+  ASSERT_TRUE(b.AddBidirectional(u, v, RoadClass::kLocal).ok());
+  auto pair = b.Build().MoveValueUnsafe();
+  auto pair_ch = BuildChIndex(*pair).MoveValueUnsafe();
+  ChCustomizer pair_customizer(*pair_ch, 1 << 20);
+  EXPECT_EQ(pair_customizer.num_levels(), 2u);
+  EXPECT_EQ(pair_customizer.workers(), 1);
 }
 
 /// A local-road grid with one highway spur and one arterial spur, each
@@ -145,7 +174,8 @@ TEST(ChCustomizerTest, MaskClosureConfinedToSpursAndIncrementalRuns) {
   constexpr int kSpurLen = 4;
   auto network = SpurGrid(kN, kSpurLen);
   auto ch = BuildChIndex(*network).MoveValueUnsafe();
-  ChCustomizer customizer(*ch, 0);
+  // Several workers, so the incremental sweep rides the level barriers.
+  ChCustomizer customizer(*ch, 4);
 
   const uint8_t delta_mask =
       static_cast<uint8_t>((1u << static_cast<int>(RoadClass::kHighway)) |
@@ -169,7 +199,7 @@ TEST(ChCustomizerTest, MaskClosureConfinedToSpursAndIncrementalRuns) {
   EXPECT_LT(dirty_by_mask, customizer.total_arcs() / 10);
 
   // A highway+arterial re-price therefore takes the incremental path and
-  // still matches a full sweep bit-for-bit.
+  // still matches a full 1-worker sweep bit-for-bit.
   CongestionModel congestion(11);
   const ChClassWeights base_w = CongestedWeights(congestion, 9.0 * 3600.0);
   ChClassWeights delta_w = base_w;
@@ -179,7 +209,7 @@ TEST(ChCustomizerTest, MaskClosureConfinedToSpursAndIncrementalRuns) {
   bool incremental = false;
   auto repriced = customizer.CustomizeFrom(base, delta_w, &incremental);
   EXPECT_TRUE(incremental);
-  ChCustomizer fresh(*ch, 0);
+  ChCustomizer fresh(*ch, 1);
   EXPECT_TRUE(PlanesSameBits(*fresh.Customize(delta_w), *repriced));
 
   // An all-class delta falls back to the full sweep (and still matches).
@@ -204,8 +234,8 @@ TEST(ChCustomizationCacheTest, ConcurrentWorkersDedupAcrossBucketBoundaries) {
   for (int j = 0; j < 6; ++j) {
     buckets.push_back(CongestedWeights(congestion, (6.0 + j) * 3600.0));
   }
-  ChCustomizationCache cache(*ch, /*threads=*/0, /*max_planes=*/4);
-  ChCustomizer reference(*ch, 0);
+  ChCustomizationCache cache(*ch, /*threads=*/2, /*max_planes=*/4);
+  ChCustomizer reference(*ch, 1);
 
   constexpr size_t kWorkers = 4;
   std::atomic<uint64_t> built_here{0};
@@ -258,7 +288,7 @@ TEST(ChCustomizationCacheTest, DedupCollapsesPerWorkerSweepsWithoutEviction) {
   // Default capacity (64) — no eviction, so however many workers race,
   // each bucket costs exactly one sweep: the (N-1)/N dedup contract the
   // bench gate (bench_micro_ch_customize) holds as a floor.
-  ChCustomizationCache cache(*ch, /*threads=*/0);
+  ChCustomizationCache cache(*ch);
   constexpr size_t kWorkers = 6;
   std::vector<std::thread> workers;
   for (size_t wkr = 0; wkr < kWorkers; ++wkr) {
@@ -276,7 +306,6 @@ TEST(ChCustomizationCacheTest, DedupCollapsesPerWorkerSweepsWithoutEviction) {
 
 std::unique_ptr<Environment> BackendEnvironment(DeroutingBackend backend,
                                                 int ch_threads,
-                                                bool shared_cache,
                                                 double bucket_s = 0.0) {
   EnvironmentOptions opts;
   opts.kind = DatasetKind::kOldenburg;
@@ -286,7 +315,6 @@ std::unique_ptr<Environment> BackendEnvironment(DeroutingBackend backend,
   opts.seed = 42;
   opts.derouting_backend = backend;
   opts.ch_threads = ch_threads;
-  opts.ch_shared_cache = shared_cache;
   opts.exact_derouting_bucket_s = bucket_s;
   auto result = MakeEnvironment(opts);
   EXPECT_TRUE(result.ok());
@@ -294,17 +322,14 @@ std::unique_ptr<Environment> BackendEnvironment(DeroutingBackend backend,
 }
 
 TEST(ChCustomizeParityTest, OfferingTablesBitIdenticalAcrossStrategies) {
-  // Exact backend vs CH with: serial sweeps, 4-thread sweeps, a shared
-  // plane cache, and no cache (per-worker incremental customizers). One
-  // Offering Table contract: same bits everywhere.
-  auto exact = BackendEnvironment(DeroutingBackend::kExact, 0, false);
-  auto ch_serial = BackendEnvironment(DeroutingBackend::kCh, 0, false);
-  auto ch_par = BackendEnvironment(DeroutingBackend::kCh, 4, false);
-  auto ch_cached = BackendEnvironment(DeroutingBackend::kCh, 0, true);
+  // The Dijkstra backend is the oracle; CH planes priced by 1 and by 4
+  // sweep workers must reproduce its Offering Tables bit for bit.
+  auto exact = BackendEnvironment(DeroutingBackend::kExact, 1);
+  auto ch_one = BackendEnvironment(DeroutingBackend::kCh, 1);
+  auto ch_par = BackendEnvironment(DeroutingBackend::kCh, 4);
   ASSERT_NE(exact, nullptr);
-  ASSERT_NE(ch_serial, nullptr);
+  ASSERT_NE(ch_one, nullptr);
   ASSERT_NE(ch_par, nullptr);
-  ASSERT_NE(ch_cached, nullptr);
 
   auto states = testing_util::TinyWorkload(*exact, 5);
   ASSERT_FALSE(states.empty());
@@ -318,12 +343,10 @@ TEST(ChCustomizeParityTest, OfferingTablesBitIdenticalAcrossStrategies) {
   };
   for (const VehicleState& state : states) {
     const OfferingTable want = rank(*exact, state);
-    EXPECT_TRUE(testing_util::TablesBitIdentical(want, rank(*ch_serial, state)))
-        << "ch serial";
+    EXPECT_TRUE(testing_util::TablesBitIdentical(want, rank(*ch_one, state)))
+        << "ch 1 worker";
     EXPECT_TRUE(testing_util::TablesBitIdentical(want, rank(*ch_par, state)))
-        << "ch 4-thread";
-    EXPECT_TRUE(testing_util::TablesBitIdentical(want, rank(*ch_cached, state)))
-        << "ch shared cache";
+        << "ch 4 workers";
   }
 }
 
@@ -331,7 +354,7 @@ TEST(ChCustomizeParityTest, EtaWindowMatchesPerBucketExact) {
   // One profile pass over k bucket planes must refold each lane to exactly
   // the eta_s a point query at that bucket's cost time computes.
   constexpr double kBucketS = 900.0;
-  auto env = BackendEnvironment(DeroutingBackend::kCh, 0, true, kBucketS);
+  auto env = BackendEnvironment(DeroutingBackend::kCh, 1, kBucketS);
   ASSERT_NE(env, nullptr);
   auto states = testing_util::TinyWorkload(*env, 4);
   ASSERT_FALSE(states.empty());

@@ -122,7 +122,8 @@ TEST(ChQueryTest, DistancesAndPathsMatchDijkstraBitwise) {
   for (uint64_t seed : {2u, 11u}) {
     auto network = SmallRgg(seed);
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
-    ChQuery query(*ch);
+    ChCustomizationCache cache(*ch);
+    ChQuery query(&cache);
     DijkstraSearch dijkstra(*network);
     CongestionModel congestion(seed);
     std::vector<EdgeId> scratch;
@@ -158,7 +159,8 @@ TEST(ChQueryTest, ElimTreeSpacesMatchSearchBitwise) {
   for (uint64_t seed : {2u, 11u}) {
     auto network = SmallRgg(seed);
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
-    ChQuery query(*ch);
+    ChCustomizationCache cache(*ch);
+    ChQuery query(&cache);
     CongestionModel congestion(seed);
     const ChClassWeights weights = CongestedWeights(congestion, 8.0 * 3600);
     query.EnsureCustomized(weights);
@@ -195,7 +197,8 @@ TEST(ChQueryTest, UnreachableAndCoincidentEndpoints) {
   ASSERT_TRUE(builder.AddEdge(b, c, RoadClass::kLocal).ok());
   auto network = builder.Build().MoveValueUnsafe();
   auto ch = BuildChIndex(*network).MoveValueUnsafe();
-  ChQuery query(*ch);
+  ChCustomizationCache cache(*ch);
+  ChQuery query(&cache);
 
   EXPECT_EQ(query.Search(a, c, kChLengthWeights), 200.0);
   EXPECT_EQ(query.Search(c, a, kChLengthWeights), kInfiniteCost);
@@ -216,7 +219,8 @@ TEST(ChQueryTest, UnreachableAndCoincidentEndpoints) {
 TEST(ChQueryTest, StableWeightStreamCustomizesOnce) {
   auto network = SmallRgg(3, 150);
   auto ch = BuildChIndex(*network).MoveValueUnsafe();
-  ChQuery query(*ch);
+  ChCustomizationCache cache(*ch);
+  ChQuery query(&cache);
   CongestionModel congestion(3);
 
   const ChClassWeights rush = CongestedWeights(congestion, 8.0 * 3600);
@@ -225,16 +229,20 @@ TEST(ChQueryTest, StableWeightStreamCustomizesOnce) {
   }
   EXPECT_EQ(query.customizations(), 1u);
 
-  // A different traffic bucket re-prices once; returning to it later does
-  // not (EnsureCustomized keys on the weight values, not call order)...
+  // A different traffic bucket re-prices once; staying in it does not
+  // (EnsureCustomized keys on the weight values, not call order)...
   const ChClassWeights night = CongestedWeights(congestion, 2.0 * 3600);
   query.Search(5, 140, night);
   EXPECT_EQ(query.customizations(), 2u);
   query.Search(6, 141, night);
   EXPECT_EQ(query.customizations(), 2u);
-  // ...so flipping back does re-price: the workspace keeps one metric.
+  // ...and flipping back fetches the rush plane again from the cache
+  // instead of re-pricing it.
+  const uint64_t hits = cache.hits();
   query.Search(7, 142, rush);
-  EXPECT_EQ(query.customizations(), 3u);
+  EXPECT_EQ(query.customizations(), 2u);
+  EXPECT_EQ(cache.hits(), hits + 1);
+  EXPECT_EQ(cache.builds(), 2u);
 }
 
 TEST(ChDeroutingTest, ExactBatchMatchesDijkstraBackendBitwise) {
@@ -242,9 +250,10 @@ TEST(ChDeroutingTest, ExactBatchMatchesDijkstraBackendBitwise) {
     auto network = SmallRgg(seed);
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
     CongestionModel congestion(seed);
+    ChCustomizationCache cache(*ch);
     DeroutingService oracle(network, &congestion);
     DeroutingService hierarchy(network, &congestion);
-    hierarchy.set_ch(ch.get());
+    hierarchy.set_ch(&cache);
     ASSERT_EQ(hierarchy.backend(), DeroutingBackend::kCh);
 
     DeroutingBatchScratch oracle_scratch, ch_scratch;
@@ -336,11 +345,12 @@ TEST(ChDeroutingTest, ExactCostsMatchPerArcSpeedFactorReference) {
     auto network = SmallRgg(seed);
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
     CongestionModel congestion(seed);
+    ChCustomizationCache cache(*ch);
     DeroutingService dijkstra(network, &congestion);
     DeroutingService hierarchy(network, &congestion);
-    hierarchy.set_ch(ch.get());
+    hierarchy.set_ch(&cache);
     DeroutingService window(network, &congestion, 1.3, kBucketS);
-    window.set_ch(ch.get());
+    window.set_ch(&cache);
 
     std::vector<EvCharger> chargers;
     for (NodeId v = 3; v < network->NumNodes(); v += 23) {
@@ -420,7 +430,8 @@ TEST(ChSnapshotTest, RoundTripsThroughSnapshotWithQueryParity) {
   ASSERT_EQ(ch->NumDownArcs(), built->NumDownArcs());
 
   // The mmap-ed hierarchy must answer exactly like the built one.
-  ChQuery fresh(*built), reloaded(*ch);
+  ChCustomizationCache fresh_cache(*built), reloaded_cache(*ch);
+  ChQuery fresh(&fresh_cache), reloaded(&reloaded_cache);
   CongestionModel congestion(19);
   const ChClassWeights weights = CongestedWeights(congestion, 9.0 * 3600);
   std::vector<EdgeId> scratch_a, scratch_b;

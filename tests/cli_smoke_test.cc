@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 namespace ecocharge {
 namespace {
@@ -52,10 +54,14 @@ TEST(CliSmokeTest, GraphChSummaryReportsContractionAndCustomization) {
             " --ch-threads 2", &code);
   ASSERT_EQ(code, 0) << out;
   // One line, both phases: "...; contracted in X s, ...; customized in
-  // Y s (T threads, L levels, A arcs)".
+  // Y s (W workers, L levels, A arcs)". W is the request clamped to the
+  // machine's hardware threads.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   EXPECT_NE(out.find("contracted in"), std::string::npos) << out;
   EXPECT_NE(out.find("customized in"), std::string::npos) << out;
-  EXPECT_NE(out.find("2 threads"), std::string::npos) << out;
+  EXPECT_NE(out.find(std::to_string(std::min(2u, hw)) + " workers"),
+            std::string::npos)
+      << out;
   EXPECT_NE(out.find("levels"), std::string::npos) << out;
   EXPECT_NE(out.find("arcs"), std::string::npos) << out;
   EXPECT_NE(out.find("shortcuts"), std::string::npos) << out;

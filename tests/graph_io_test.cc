@@ -1,7 +1,9 @@
 #include "graph/io.h"
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -343,6 +345,33 @@ TEST(SnapshotTest, RejectsChArcBytesThatAreNotWholeRecords) {
   short_rank.rank = short_rank.rank.subspan(0, short_rank.rank.size() - 1);
   EXPECT_FALSE(
       ChIndexFromSnapshot(short_rank, loaded.network->NumEdges()).ok());
+}
+
+TEST(SnapshotTest, RejectsChRankThatIsNotAPermutation) {
+  auto original = SampleNetwork();
+  std::shared_ptr<ChIndex> ch = BuildChIndex(*original).MoveValueUnsafe();
+  const ChSnapshotViews views = ToSnapshotViews(ch);
+  std::string path = SnapshotPath("duplicate_rank_ch.ecgs");
+  ASSERT_TRUE(SaveSnapshot(*original, path, nullptr, &views).ok());
+
+  // Overwrite node 1's rank with node 0's inside the file's rank section.
+  const std::span<const uint32_t> rank = ch->rank_array();
+  ASSERT_GE(rank.size(), 2u);
+  std::string bytes = ReadFileBytes(path);
+  const std::string rank_bytes(reinterpret_cast<const char*>(rank.data()),
+                               rank.size_bytes());
+  const size_t at = bytes.find(rank_bytes);
+  ASSERT_NE(at, std::string::npos);
+  std::memcpy(&bytes[at + sizeof(uint32_t)], &rank[0], sizeof(uint32_t));
+  WriteFileBytes(path, bytes);
+
+  auto loaded = LoadSnapshotWithAux(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_TRUE(loaded->ch.has_value());
+  auto adopted = ChIndexFromSnapshot(*loaded->ch, loaded->network->NumEdges());
+  ASSERT_FALSE(adopted.ok());
+  EXPECT_EQ(adopted.status().code(), StatusCode::kInvalidArgument)
+      << adopted.status();
 }
 
 }  // namespace

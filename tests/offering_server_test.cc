@@ -139,6 +139,51 @@ TEST_F(OfferingServerTest, FullQueueShedsWithUnavailable) {
   EXPECT_EQ(callbacks.load(), ok);
 }
 
+// The inline wire path: one request decodes, ranks, and encodes into a
+// reply that decodes back into a k-row Offering Table.
+TEST_F(OfferingServerTest, WireRoundTripServesTable) {
+  OfferingServer server(env_.get(), ScoreWeights::AWE(), EcoChargeOptions{},
+                        {});
+  OfferingRequest request;
+  request.state = states_[0];
+  request.k = 3;
+  Result<std::string> reply = Status::Internal("no reply");
+  ASSERT_TRUE(server
+                  .SubmitWire(7, EncodeOfferingRequest(request),
+                              [&](const Result<std::string>& r) { reply = r; })
+                  .ok());
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  auto table = DecodeOfferingTable(reply.value());
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table.value().size(), 3u);
+  OfferingServerStats stats = server.Stats();
+  EXPECT_EQ(stats.served, 1u);
+  EXPECT_EQ(stats.malformed, 0u);
+}
+
+// A wire request answers what an in-process ranking of the same state
+// answers, for a different client with its own ranker.
+TEST_F(OfferingServerTest, WireMatchesInProcessRanking) {
+  OfferingServer server(env_.get(), ScoreWeights::AWE(), EcoChargeOptions{},
+                        {});
+  OfferingRequest request;
+  request.state = states_[0];
+  request.k = 3;
+  Result<std::string> reply = Status::Internal("no reply");
+  ASSERT_TRUE(server
+                  .SubmitWire(1, EncodeOfferingRequest(request),
+                              [&](const Result<std::string>& r) { reply = r; })
+                  .ok());
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  OfferingTable via_wire = DecodeOfferingTable(reply.value()).MoveValueUnsafe();
+  OfferingTable direct;
+  ASSERT_TRUE(server
+                  .Submit(2, states_[0], 3,
+                          [&](const OfferingTable& t) { direct = t; })
+                  .ok());
+  EXPECT_EQ(via_wire.ChargerIds(), direct.ChargerIds());
+}
+
 TEST_F(OfferingServerTest, WirePathServesAndCountsMalformed) {
   OfferingServerOptions options;
   options.threads = 2;

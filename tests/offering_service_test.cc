@@ -24,39 +24,6 @@ class OfferingServiceTest : public ::testing::Test {
   std::unique_ptr<OfferingService> service_;
 };
 
-TEST_F(OfferingServiceTest, WireRoundTripServesTable) {
-  OfferingRequest request;
-  request.state = states_[0];
-  request.k = 3;
-  auto reply = service_->Handle(7, EncodeOfferingRequest(request));
-  ASSERT_TRUE(reply.ok()) << reply.status();
-  auto table = DecodeOfferingTable(reply.value());
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table.value().size(), 3u);
-  EXPECT_EQ(service_->stats().requests, 1u);
-  EXPECT_EQ(service_->stats().tables_served, 1u);
-}
-
-TEST_F(OfferingServiceTest, WireMatchesInProcessRanking) {
-  OfferingRequest request;
-  request.state = states_[0];
-  request.k = 3;
-  auto reply = service_->Handle(1, EncodeOfferingRequest(request));
-  ASSERT_TRUE(reply.ok());
-  auto via_wire = DecodeOfferingTable(reply.value()).MoveValueUnsafe();
-  // A different client gets its own ranker but the same deterministic
-  // answer for the same state.
-  OfferingTable direct = service_->Rank(2, states_[0], 3);
-  EXPECT_EQ(via_wire.ChargerIds(), direct.ChargerIds());
-}
-
-TEST_F(OfferingServiceTest, MalformedRequestCounted) {
-  auto reply = service_->Handle(7, "garbage");
-  EXPECT_FALSE(reply.ok());
-  EXPECT_EQ(service_->stats().malformed_requests, 1u);
-  EXPECT_EQ(service_->stats().tables_served, 0u);
-}
-
 TEST_F(OfferingServiceTest, PerClientCachesAreIsolated) {
   // Client A queries twice from the same spot: second is adapted. Client
   // B's first query from that spot must NOT be adapted (it has no cache).

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -105,6 +106,18 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
+/// --ch-threads: -1 (default) = hardware concurrency, N >= 1 = at most N
+/// customization workers.
+Result<int> ParseChThreads(const Args& args) {
+  const int64_t threads = args.GetI64("ch-threads", -1);
+  if (threads == 0 || threads < -1 ||
+      threads > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        "--ch-threads must be -1 (hardware concurrency) or a positive count");
+  }
+  return static_cast<int>(threads);
+}
+
 Result<DatasetKind> ParseDatasetKind(const std::string& name) {
   for (DatasetKind kind : AllDatasetKinds()) {
     std::string lower(DatasetName(kind));
@@ -145,7 +158,7 @@ int Usage() {
                CSR, mmap-loaded zero-copy by --derouting ch; landmark
                tables in the input are preserved; the summary also times
                one full customization sweep with --ch-threads workers,
-               -1 = hardware concurrency, 0 = serial)
+               -1 = hardware concurrency)
   rank         --kind KIND [--chargers N] [--k K] [--radius-km R]
                [--hour H] [--seed N] [--index BACKEND] [--landmarks N]
                [--no-batch-derouting] [--no-simd]
@@ -153,9 +166,9 @@ int Usage() {
                [--ch-threads N]
                (query at a sample trip state; --landmarks builds N ALT
                landmarks that order the refinement candidates by
-               lower-bounded derouting cost; --ch-threads sets the CH
-               customization worker count, -1 = hardware concurrency,
-               0 = serial — bit-identical either way)
+               lower-bounded derouting cost; --ch-threads caps the CH
+               customization workers, -1 = hardware concurrency —
+               bit-identical either way)
   simulate     --kind KIND [--vehicles N] [--chargers N] [--seed N]
                [--index BACKEND] [--no-batch-derouting] [--no-simd]
                (fleet hoarding: EcoCharge vs nearest-charger policies)
@@ -311,6 +324,11 @@ int GraphCh(const Args& args) {
     std::cerr << loaded.status() << "\n";
     return 1;
   }
+  auto ch_threads = ParseChThreads(args);
+  if (!ch_threads.ok()) {
+    std::cerr << ch_threads.status() << "\n";
+    return 1;
+  }
   const RoadNetwork& network = *loaded->network;
   ChBuildStats stats;
   auto start = std::chrono::steady_clock::now();
@@ -325,12 +343,10 @@ int GraphCh(const Args& args) {
   // Time one full metric customization of the freshly contracted
   // hierarchy (the per-bucket cost every serving process will pay): the
   // summary line then covers both preprocessing phases.
-  int ch_threads = static_cast<int>(args.GetI64("ch-threads", -1));
-  if (ch_threads < 0) {
-    ch_threads =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
-  ChCustomizer customizer(**ch, ch_threads);
+  ChCustomizer customizer(
+      **ch, *ch_threads < 0
+                ? static_cast<int>(std::thread::hardware_concurrency())
+                : *ch_threads);
   auto customize_start = std::chrono::steady_clock::now();
   customizer.Customize(kChLengthWeights);
   double customize_s =
@@ -348,7 +364,7 @@ int GraphCh(const Args& args) {
             << " shortcuts; contracted in " << build_s << " s, "
             << stats.ordering_pops << " queue pops, max live degree "
             << stats.max_live_degree << "; customized in " << customize_s
-            << " s (" << customizer.threads() << " threads, "
+            << " s (" << customizer.workers() << " workers, "
             << customizer.num_levels() << " levels, "
             << customizer.total_arcs() << " arcs)";
   if (loaded->landmarks) {
@@ -444,7 +460,7 @@ Result<std::unique_ptr<Environment>> BuildEnv(const Args& args) {
     return Status::InvalidArgument("unknown derouting backend '" + backend +
                                    "' (ch|exact)");
   }
-  opts.ch_threads = static_cast<int>(args.GetI64("ch-threads", -1));
+  ECOCHARGE_ASSIGN_OR_RETURN(opts.ch_threads, ParseChThreads(args));
   ECOCHARGE_ASSIGN_OR_RETURN(
       opts.index_kind, ParseSpatialIndexKind(args.Get("index", "quadtree")));
   return MakeEnvironment(opts);
